@@ -80,6 +80,16 @@ impl<T: Element> MatrixUpdate<T> {
         }
     }
 
+    /// The same update aimed at `row` — how a row-sharded tenant moves an
+    /// update into the coordinates of the shard that owns it.
+    pub fn with_row(self, row: usize) -> Self {
+        match self {
+            MatrixUpdate::Insert { col, value, .. } => MatrixUpdate::Insert { row, col, value },
+            MatrixUpdate::Update { col, value, .. } => MatrixUpdate::Update { row, col, value },
+            MatrixUpdate::Delete { col, .. } => MatrixUpdate::Delete { row, col },
+        }
+    }
+
     /// The absolute cell value after the update, exactly widened to `f64`
     /// (`0.0` for deletes).
     pub fn value_f64(&self) -> f64 {

@@ -69,9 +69,6 @@ pub enum ServeError {
         /// Offending column index.
         col: usize,
     },
-    /// The key names a sharded registration, which serves immutable row
-    /// shards; in-place mutation is only supported for unsharded tenants.
-    MutationUnsupported,
 }
 
 impl std::fmt::Display for ServeError {
@@ -102,9 +99,6 @@ impl std::fmt::Display for ServeError {
                 f,
                 "update targets ({row},{col}) outside the {nrows}x{ncols} matrix"
             ),
-            ServeError::MutationUnsupported => {
-                write!(f, "sharded registrations do not support mutation")
-            }
         }
     }
 }
@@ -149,8 +143,5 @@ mod tests {
             .to_string(),
             "update targets (9,1) outside the 4x8 matrix"
         );
-        assert!(ServeError::MutationUnsupported
-            .to_string()
-            .contains("sharded"));
     }
 }

@@ -6,10 +6,11 @@
 //! that exploits that split end to end:
 //!
 //! * [`PreparedMatrixRegistry`] — a concurrent, size-bounded LRU of
-//!   prepared [`smat::Smat`] handles keyed by
+//!   [`Tenant`]s (a row-shard plan plus one prepared [`smat::Smat`] per
+//!   shard; an unsharded matrix is the one-shard tenant) keyed by
 //!   [`MatrixFingerprint`](smat_formats::MatrixFingerprint) + config
-//!   digest, so each distinct matrix pays `T_init` once and every tenant
-//!   shares the handle.
+//!   digest, so each distinct matrix pays `T_init` once and every request
+//!   shares the handles.
 //! * [`PlanCache`] — memoized launch geometry + static pre-flight verdict
 //!   per (matrix, RHS width); inadmissible plans are refused at admission.
 //! * [`Server`] — a device-pool scheduler: one worker thread per simulated
@@ -18,14 +19,15 @@
 //! * [`batch`] — same-matrix requests are coalesced into one wide launch
 //!   (bitwise identical to per-request execution) to amortize the
 //!   per-launch constant.
-//! * sharding — a two-level scheduler for matrices too big for one
-//!   device: registration under [`ServerConfig::shard_max_bytes`]
-//!   partitions the operand into nnz-balanced row shards (`smat-shard`),
-//!   each prepared under its own fingerprint; a submission against the
-//!   parent key fans out one sub-request per shard through the ordinary
-//!   device-level dispatch and a checked join ([`FanoutJoin`])
+//! * sharding — for matrices too big for one device: registration under
+//!   [`ServerConfig::shard_max_bytes`] partitions the operand into
+//!   nnz-balanced row shards (`smat-shard`), each prepared under its own
+//!   fingerprint within the tenant's one registry line. Every submission
+//!   fans out one sub-request per shard through the ordinary device-level
+//!   dispatch and completes through a checked join ([`FanoutJoin`]) that
 //!   row-concatenates the partial products — bitwise identical to
-//!   unsharded execution, with per-shard recovery under chaos.
+//!   unsharded execution, with per-shard recovery under chaos; for a
+//!   one-shard tenant the join passes the response through.
 //! * planning — an optional cost-model-driven admission planner
 //!   ([`ServerConfig::planner`]): registrations without a pinned
 //!   configuration are scored with the calibrated Eq. 1 perf model
@@ -42,14 +44,15 @@
 //!   [`ChaosStats`] and as `chaos`-category trace events.
 //! * dynamic matrices — registered tenants accept in-place cell mutations
 //!   ([`Server::mutate`]): updates accumulate in a COO overlay on the
-//!   prepared handle, requests pin the overlay epoch at admission (plans,
-//!   batches, and execution all key on it, so a mutated matrix can never
-//!   launch under a stale plan), and when the calibrated cost model prices
-//!   the overlay's scalar surcharge above the re-preparation cost
-//!   ([`CompactionPolicy`]), a background compaction re-prepares
-//!   `base ⊕ overlay` and atomically swaps the registry handle — serving
-//!   never blocks, and in-flight requests finish on the epoch they
-//!   admitted under.
+//!   prepared handle of the shard owning their row, requests pin the
+//!   overlay epochs at admission (plans, batches, and execution all key on
+//!   them, so a mutated matrix can never launch under a stale plan), and
+//!   when the calibrated cost model prices an overlay's scalar surcharge
+//!   above the re-preparation cost ([`CompactionPolicy`]), a background
+//!   compaction re-prepares `base ⊕ overlay` of the shards with
+//!   corrections and atomically swaps the registry handles — serving never
+//!   blocks, and in-flight requests finish on the epochs they admitted
+//!   under.
 //! * concurrency verification — every lock, condvar, and protocol-bearing
 //!   atomic in this crate is a checked `smat-sanitize` primitive, so
 //!   lock-order analysis covers the engine when enabled (zero overhead
@@ -73,7 +76,6 @@ pub mod parkslot;
 pub mod plan;
 pub mod registry;
 pub mod server;
-mod sharded;
 pub mod stats;
 
 pub use batch::{spmm_batched, spmm_scalar_fallback, take_batch};
@@ -85,6 +87,7 @@ pub use parkslot::ParkSlot;
 pub use plan::{Plan, PlanCache, PlanStats};
 pub use registry::{
     config_digest, AdmissionState, MatrixKey, ParkResult, PreparedMatrixRegistry, RegistryStats,
+    Tenant,
 };
 pub use server::{CompactionPolicy, ResponseFuture, ServeResponse, Server, ServerConfig};
 pub use smat::{

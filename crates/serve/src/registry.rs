@@ -1,12 +1,15 @@
-//! The prepared-matrix registry: a concurrent, size-bounded LRU of [`Smat`]
-//! handles keyed by matrix fingerprint + configuration digest.
+//! The prepared-matrix registry: a concurrent, size-bounded LRU of
+//! [`Tenant`]s keyed by matrix fingerprint + configuration digest.
 //!
 //! Preprocessing (reordering + BCSR conversion) is the expensive one-time
 //! `T_init` of the paper's cost model; the registry computes it once per
-//! distinct (matrix, config) and shares the [`Arc`]-backed handle across
-//! every request that names the same matrix. Get-or-prepare is
-//! duplicate-free under contention: racing callers agree on one slot and
-//! exactly one runs the prepare closure while the rest block on it.
+//! distinct (matrix, config) and shares the [`Arc`]-backed handles across
+//! every request that names the same matrix. Each line is one tenant: its
+//! row partition plus one prepared [`Smat`] per shard, an unsharded matrix
+//! being the one-shard case — so sharded tenants count against the same
+//! capacity and evict like any other. Get-or-prepare is duplicate-free
+//! under contention: racing callers agree on one slot and exactly one runs
+//! the prepare closure while the rest block on it.
 //!
 //! [`PreparedMatrixRegistry::warm_prepare`] moves the preparation onto a
 //! background thread entirely: the key becomes *resident-but-preparing*
@@ -25,11 +28,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use serde::Serialize;
 use smat::{Smat, SmatConfig};
-use smat_formats::{Element, Fnv1a, MatrixFingerprint};
+use smat_formats::{Csr, Element, Fnv1a, MatrixFingerprint};
 use smat_sanitize::sync::Mutex;
+use smat_shard::{partition, ShardPlan, ShardPolicy};
 
 use crate::lru::LruMap;
 use crate::parkslot::ParkSlot;
@@ -67,6 +72,103 @@ pub fn config_digest(config: &SmatConfig) -> u64 {
     h.finish()
 }
 
+/// A registered matrix: its row partition plus one prepared handle per
+/// shard, in row order. An unsharded matrix is the one-shard tenant whose
+/// only shard key is the tenant key itself. Cloning is three `Arc` bumps.
+pub struct Tenant<T> {
+    plan: Arc<ShardPlan>,
+    keys: Arc<[MatrixKey]>,
+    smats: Arc<[Smat<T>]>,
+}
+
+impl<T> Clone for Tenant<T> {
+    fn clone(&self) -> Self {
+        Tenant {
+            plan: Arc::clone(&self.plan),
+            keys: Arc::clone(&self.keys),
+            smats: Arc::clone(&self.smats),
+        }
+    }
+}
+
+impl<T: Element> Tenant<T> {
+    /// Partitions `a` under `policy` and prepares every shard with
+    /// `prepare`. A one-shard tenant's shard key is `key` itself, and the
+    /// matrix is neither sliced nor fingerprinted again. A sharded tenant's
+    /// shard key is its row slice's fingerprint with the structure hash
+    /// salted by the tenant fingerprint and the shard index: every shard
+    /// handle mutates on its own, so two handles must never share a key
+    /// (batches group sub-requests by key and epoch, and the plan cache
+    /// shares plans by key), not even for identical row slices.
+    pub(crate) fn prepare(
+        a: &Csr<T>,
+        key: MatrixKey,
+        policy: &ShardPolicy,
+        mut prepare: impl FnMut(&Csr<T>) -> Smat<T>,
+    ) -> Self {
+        let plan = partition(a, policy);
+        if !plan.is_sharded() {
+            return Tenant::unsharded(key, prepare(a));
+        }
+        let (keys, smats): (Vec<_>, Vec<_>) = plan
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(index, d)| {
+                let shard = a.slice_rows(d.row_start, d.row_end);
+                let mut fingerprint = MatrixFingerprint::of_csr(&shard);
+                let mut h = Fnv1a::new();
+                h.write_u64(fingerprint.structure_hash);
+                h.write_u64(key.fingerprint.structure_hash);
+                h.write_u64(key.fingerprint.value_hash);
+                h.write_u64(index as u64);
+                fingerprint.structure_hash = h.finish();
+                (MatrixKey { fingerprint, ..key }, prepare(&shard))
+            })
+            .unzip();
+        Tenant {
+            plan: Arc::new(plan),
+            keys: keys.into(),
+            smats: smats.into(),
+        }
+    }
+
+    /// The one-shard tenant `key` around its prepared handle.
+    pub fn unsharded(key: MatrixKey, smat: Smat<T>) -> Self {
+        let fp = smat.fingerprint();
+        Tenant {
+            plan: Arc::new(ShardPlan::single::<T>(fp.nrows, fp.ncols, fp.nnz)),
+            keys: Arc::new([key]),
+            smats: Arc::new([smat]),
+        }
+    }
+
+    /// The row partition.
+    pub(crate) fn plan(&self) -> &Arc<ShardPlan> {
+        &self.plan
+    }
+
+    /// Per-shard keys (plan-cache lines and batch keys), in shard order.
+    pub(crate) fn keys(&self) -> &[MatrixKey] {
+        &self.keys
+    }
+
+    /// Per-shard prepared handles, in shard order.
+    pub fn shards(&self) -> &[Smat<T>] {
+        &self.smats
+    }
+
+    /// The shard owning original row `row`.
+    pub(crate) fn shard_of(&self, row: usize) -> usize {
+        self.plan.shards.partition_point(|d| d.row_end <= row)
+    }
+
+    /// Whether `other` is this very registration (same shard handles).
+    fn ptr_eq(&self, other: &Tenant<T>) -> bool {
+        Arc::ptr_eq(&self.smats, &other.smats)
+    }
+}
+
 /// Readiness of a registry key, as seen by admission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum AdmissionState {
@@ -95,20 +197,23 @@ pub enum ParkResult {
 /// Counter snapshot of registry activity.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct RegistryStats {
-    /// Lookups that found the key resident.
+    /// Lookups that found the key resident. Counted per tenant, not per
+    /// shard: a submission to a sharded tenant is one lookup.
     pub hits: u64,
     /// Lookups that did not (each get-or-prepare miss admits a new entry).
+    /// A sharded registration is one miss however many shards it prepares.
     pub misses: u64,
     /// Entries displaced by the LRU bound.
     pub evictions: u64,
-    /// Prepare closures actually executed (≤ misses under contention).
+    /// Shard handles prepared by executed prepare closures (one per shard;
+    /// at most one closure per miss under contention).
     pub prepares: u64,
     /// Background preparations launched by `warm_prepare`.
     pub warm_prepares: u64,
     /// Waiters parked on an in-flight preparation.
     pub parked: u64,
-    /// Background compactions that published a fresh handle (a
-    /// `compact_prepare` whose prepare succeeded *and* found its tenant
+    /// Shard handles re-prepared by background compactions that published
+    /// (a `compact_prepare` whose prepares succeeded *and* found its tenant
     /// still resident at publish time).
     pub compactions: u64,
     /// Resident entries right now.
@@ -129,10 +234,10 @@ impl RegistryStats {
     }
 }
 
-/// One registry slot: a publish-then-drain cell for the prepared handle.
-type Slot<T> = Arc<ParkSlot<Smat<T>>>;
+/// One registry slot: a publish-then-drain cell for the prepared tenant.
+type Slot<T> = Arc<ParkSlot<Tenant<T>>>;
 
-/// Concurrent, size-bounded LRU of prepared matrices.
+/// Concurrent, size-bounded LRU of prepared tenants.
 pub struct PreparedMatrixRegistry<T> {
     /// `Arc` so compaction threads can publish into the map without owning
     /// the registry (which would deadlock the joining `Drop`).
@@ -150,25 +255,35 @@ pub struct PreparedMatrixRegistry<T> {
     /// Keys with a compaction in flight — the single-flight guard of
     /// [`PreparedMatrixRegistry::compact_prepare`].
     compacting: Arc<Mutex<Vec<MatrixKey>>>,
-    warm_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    compact_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    warm_threads: Mutex<Vec<JoinHandle<()>>>,
+    compact_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// Fulfills the slot (running `prepare` only if this caller wins the
 /// producer race) and drains parked waiters. A *completed* prepare is
-/// counted before the handle is published, so any caller woken by the
-/// publication already observes it in the stats; a panicked prepare is
-/// never counted.
+/// counted, one per shard, before the tenant is published, so any caller
+/// woken by the publication already observes it in the stats; a panicked
+/// prepare is never counted.
 fn fulfill<T: Element>(
-    slot: &ParkSlot<Smat<T>>,
+    slot: &ParkSlot<Tenant<T>>,
     prepares: &AtomicU64,
-    prepare: impl FnOnce() -> Smat<T>,
+    prepare: impl FnOnce() -> Tenant<T>,
 ) {
     slot.fulfill(|| {
-        let smat = prepare();
-        prepares.fetch_add(1, Ordering::Relaxed);
-        smat
+        let tenant = prepare();
+        prepares.fetch_add(tenant.smats.len() as u64, Ordering::Relaxed);
+        tenant
     });
+}
+
+/// Joins every thread in `threads` (idempotent); a panicked thread's panic
+/// is discarded.
+fn join_all(threads: &Mutex<Vec<JoinHandle<()>>>) {
+    // POLICY (poisoning): recover. The handle list is push/drain only.
+    let handles = std::mem::take(&mut *threads.lock_or_recover());
+    for h in handles {
+        let _ = h.join();
+    }
 }
 
 impl<T: Element> PreparedMatrixRegistry<T> {
@@ -210,7 +325,7 @@ impl<T: Element> PreparedMatrixRegistry<T> {
         }
     }
 
-    /// Returns the prepared handle for `key`, running `prepare` only if the
+    /// Returns the prepared tenant for `key`, running `prepare` only if the
     /// key is absent. Under contention exactly one caller executes
     /// `prepare`; the others block until the handle is ready and share it.
     ///
@@ -226,8 +341,8 @@ impl<T: Element> PreparedMatrixRegistry<T> {
     pub fn get_or_prepare(
         &self,
         key: MatrixKey,
-        prepare: impl FnOnce() -> Smat<T>,
-    ) -> (Smat<T>, bool) {
+        prepare: impl FnOnce() -> Tenant<T>,
+    ) -> (Tenant<T>, bool) {
         let (slot, hit) = self.slot_of(key);
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -250,7 +365,7 @@ impl<T: Element> PreparedMatrixRegistry<T> {
     pub fn warm_prepare(
         &self,
         key: MatrixKey,
-        prepare: impl FnOnce() -> Smat<T> + Send + 'static,
+        prepare: impl FnOnce() -> Tenant<T> + Send + 'static,
     ) -> bool {
         let (slot, existed) = self.slot_of(key);
         if existed {
@@ -277,7 +392,7 @@ impl<T: Element> PreparedMatrixRegistry<T> {
         }
     }
 
-    /// Non-blocking admission: runs `waiter` with the handle — inline if
+    /// Non-blocking admission: runs `waiter` with the tenant — inline if
     /// the key is ready, or when the in-flight preparation completes
     /// (possibly on the preparing thread) if it is still preparing. If the
     /// key is absent the waiter is dropped unused. The caller never blocks
@@ -285,7 +400,7 @@ impl<T: Element> PreparedMatrixRegistry<T> {
     pub fn get_or_park(
         &self,
         key: &MatrixKey,
-        waiter: impl FnOnce(Smat<T>) + Send + 'static,
+        waiter: impl FnOnce(Tenant<T>) + Send + 'static,
     ) -> ParkResult {
         let slot = {
             // POLICY (poisoning): recover (see `slot_of`).
@@ -307,13 +422,13 @@ impl<T: Element> PreparedMatrixRegistry<T> {
         }
     }
 
-    /// Blocks until `key` is ready and returns its handle, or `None` if the
+    /// Blocks until `key` is ready and returns its tenant, or `None` if the
     /// key is not resident. Intended for warm-up barriers (tests, CLI
     /// `--warm-prepare`) — serving paths should use
     /// [`PreparedMatrixRegistry::get_or_park`] instead.
-    pub fn wait_ready(&self, key: &MatrixKey) -> Option<Smat<T>> {
+    pub fn wait_ready(&self, key: &MatrixKey) -> Option<Tenant<T>> {
         let (tx, rx) = crate::oneshot::channel();
-        match self.get_or_park(key, move |smat| tx.send(smat)) {
+        match self.get_or_park(key, move |tenant| tx.send(tenant)) {
             ParkResult::Absent => None,
             ParkResult::Ready | ParkResult::Parked => rx.wait(),
         }
@@ -323,16 +438,16 @@ impl<T: Element> PreparedMatrixRegistry<T> {
     /// `None` as a miss. Returns `None` also while the entry is still being
     /// prepared by a concurrent `get_or_prepare` or a warm-prepare thread
     /// (use [`PreparedMatrixRegistry::get_or_park`] to attach to one).
-    pub fn get(&self, key: &MatrixKey) -> Option<Smat<T>> {
+    pub fn get(&self, key: &MatrixKey) -> Option<Tenant<T>> {
         let slot = {
             // POLICY (poisoning): recover (see `slot_of`).
             let mut entries = self.entries.lock_or_recover();
             entries.get(key).map(Arc::clone)
         };
         match slot.as_ref().and_then(|s| s.get()) {
-            Some(smat) => {
+            Some(tenant) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(smat)
+                Some(tenant)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -343,10 +458,10 @@ impl<T: Element> PreparedMatrixRegistry<T> {
 
     /// Looks up `key` without preparing, bumping LRU recency, or touching
     /// the hit/miss counters — the lookup the mutation path uses, where a
-    /// retry loop re-reading the current handle must not distort cache
+    /// retry loop re-reading the current handles must not distort cache
     /// statistics or recency. Returns `None` while the entry is still
     /// preparing.
-    pub fn peek(&self, key: &MatrixKey) -> Option<Smat<T>> {
+    pub fn peek_tenant(&self, key: &MatrixKey) -> Option<Tenant<T>> {
         // POLICY (poisoning): recover (see `slot_of`).
         self.entries
             .lock_or_recover()
@@ -354,42 +469,61 @@ impl<T: Element> PreparedMatrixRegistry<T> {
             .and_then(|s| s.get())
     }
 
-    /// Re-prepares `key` on a background thread from its *current* handle
-    /// (base ⊕ overlay) and atomically swaps the fresh handle in — the
-    /// compaction path of dynamic matrices. Returns `false` without
-    /// spawning if the key is not resident-and-ready or a compaction for it
-    /// is already in flight (single-flight per key).
+    /// [`PreparedMatrixRegistry::peek_tenant`] for an unsharded tenant:
+    /// its one prepared handle. `None` for tenants with several shards.
+    pub fn peek(&self, key: &MatrixKey) -> Option<Smat<T>> {
+        match self.peek_tenant(key)?.shards() {
+            [smat] => Some(smat.clone()),
+            _ => None,
+        }
+    }
+
+    /// Re-prepares, on a background thread, every shard of `key` whose
+    /// overlay carries corrections from its *current* handle
+    /// (base ⊕ overlay) and atomically swaps the fresh handles in — the
+    /// compaction path of dynamic matrices. Clean shards keep their handle.
+    /// Returns `false` without spawning if the key is not resident-and-ready,
+    /// no shard has a correction to fold, or a compaction for it is already
+    /// in flight (single-flight per key).
     ///
     /// Protocol guarantees, verified by `tests/model_check.rs` and the
     /// chaos suite:
     ///
-    /// * **Serving never blocks**: the old handle keeps serving until the
-    ///   swap; in-flight requests pinned to it finish on the overlay epoch
-    ///   they admitted under.
+    /// * **Serving never blocks**: the old handles keep serving until the
+    ///   swap; in-flight requests pinned to them finish on the overlay
+    ///   epoch they admitted under.
     /// * **No lost update**: after publishing, the compactor reads the old
     ///   handle's *final* overlay snapshot and rebases it onto the fresh
-    ///   handle ([`Smat::rebase_overlay`], insert-if-absent — an override
-    ///   a racing mutator already retried onto the fresh handle is strictly
-    ///   newer and wins). A mutation that raced the swap either landed in
-    ///   that final snapshot or was retried by its mutator's own
-    ///   current-handle check; it cannot vanish.
-    /// * **No resurrection**: the fresh handle is published only if the
-    ///   tenant is still resident *with the same handle* at publish time —
+    ///   handle, per re-prepared shard ([`Smat::rebase_overlay`],
+    ///   insert-if-absent — an override a racing mutator already retried
+    ///   onto the fresh handle is strictly newer and wins). A mutation that
+    ///   raced the swap either landed in that final snapshot or was retried
+    ///   by its mutator's own current-handle check; it cannot vanish. A
+    ///   clean shard's handle is carried into the fresh tenant unchanged,
+    ///   so a write racing the swap there lands on the resident handle.
+    /// * **No resurrection**: the fresh tenant is published only if the
+    ///   tenant is still resident *with the same handles* at publish time —
     ///   an eviction or re-registration mid-compaction discards the fresh
     ///   handle instead of resurrecting a forgotten tenant.
-    /// * **Eviction-safe**: the compactor owns a clone of the old handle,
-    ///   so LRU eviction mid-compaction can never free the matrix under
-    ///   the running `prepare` (the shard-handle pinning rule).
+    /// * **Eviction-safe**: the compactor owns a clone of the old tenant,
+    ///   so LRU eviction mid-compaction can never free a matrix under the
+    ///   running `prepare`.
     /// * **Fault-isolated**: a panicking `prepare` leaves the old handle
     ///   serving, clears the single-flight guard, and counts nothing.
     pub fn compact_prepare(
         &self,
         key: MatrixKey,
-        prepare: impl FnOnce(&Smat<T>) -> Smat<T> + Send + 'static,
+        prepare: impl Fn(&Smat<T>) -> Smat<T> + Send + 'static,
     ) -> bool {
-        let Some(old) = self.peek(&key) else {
+        let Some(old) = self.peek_tenant(&key) else {
             return false;
         };
+        let dirty: Vec<usize> = (0..old.smats.len())
+            .filter(|&i| old.smats[i].overlay_snapshot().correction_terms() > 0)
+            .collect();
+        if dirty.is_empty() {
+            return false;
+        }
         {
             // POLICY (poisoning): recover. Push/retain-only key list.
             let mut compacting = self.compacting.lock_or_recover();
@@ -413,19 +547,29 @@ impl<T: Element> PreparedMatrixRegistry<T> {
                     }
                 }
                 let _unflag = Unflag(compacting, key);
-                let fresh = prepare(&old);
+                let fresh: Vec<(usize, Smat<T>)> = dirty
+                    .into_iter()
+                    .map(|i| (i, prepare(&old.smats[i])))
+                    .collect();
                 let published = {
                     // POLICY (poisoning): recover (see `slot_of`).
                     let mut map = entries.lock_or_recover();
                     match map.peek(&key).and_then(|s| s.get()) {
                         Some(current) if current.ptr_eq(&old) => {
+                            let mut smats = old.smats.to_vec();
+                            for (i, smat) in &fresh {
+                                smats[*i] = smat.clone();
+                            }
+                            let tenant = Tenant {
+                                smats: smats.into(),
+                                ..old.clone()
+                            };
                             let slot: Slot<T> = Arc::new(ParkSlot::new());
-                            let publish = fresh.clone();
-                            slot.fulfill(move || publish);
+                            slot.fulfill(move || tenant);
                             // Same-key insert replaces the slot without an
                             // LRU eviction; parked waiters on the old slot
-                            // still drain with the old handle — correct,
-                            // they admitted under its epoch.
+                            // still drain with the old handles — correct,
+                            // they admitted under their epochs.
                             map.insert(key, slot);
                             true
                         }
@@ -433,13 +577,15 @@ impl<T: Element> PreparedMatrixRegistry<T> {
                     }
                 };
                 if published {
-                    // Read the old handle's overlay only *after* the swap
+                    // Read each old handle's overlay only *after* the swap
                     // is visible: any mutation ordered before a mutator's
                     // current-handle re-check is in this snapshot, and any
-                    // ordered after was retried onto `fresh` directly.
-                    let last = old.overlay_snapshot();
-                    fresh.rebase_overlay(last.cells(), last.epoch());
-                    compactions.fetch_add(1, Ordering::Relaxed);
+                    // ordered after was retried onto the fresh handle.
+                    for (i, smat) in &fresh {
+                        let last = old.smats[*i].overlay_snapshot();
+                        smat.rebase_overlay(last.cells(), last.epoch());
+                    }
+                    compactions.fetch_add(fresh.len() as u64, Ordering::Relaxed);
                 }
             })
             .expect("spawn compaction thread");
@@ -454,10 +600,13 @@ impl<T: Element> PreparedMatrixRegistry<T> {
     /// A compaction that panicked is joined here too; its panic is
     /// discarded (the old handle simply kept serving).
     pub fn wait_compactions(&self) {
-        let handles = std::mem::take(&mut *self.compact_threads.lock_or_recover());
-        for h in handles {
-            let _ = h.join();
-        }
+        join_all(&self.compact_threads);
+    }
+
+    /// Blocks until every background warm prepare has finished, and with
+    /// it the admissions parked on it.
+    pub fn wait_warm_prepares(&self) {
+        join_all(&self.warm_threads);
     }
 
     /// Evicts `key` explicitly. In-flight requests holding the handle keep
@@ -505,19 +654,15 @@ impl<T> Drop for PreparedMatrixRegistry<T> {
         // A warm thread whose prepare panicked is joined here too; its
         // panic was already delivered (the join error is discarded) and the
         // slot it abandoned was left re-fulfillable.
-        for h in self.warm_threads.get_mut().drain(..) {
-            let _ = h.join();
-        }
-        for h in self.compact_threads.get_mut().drain(..) {
-            let _ = h.join();
-        }
+        join_all(&self.warm_threads);
+        join_all(&self.compact_threads);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smat_formats::{Coo, Csr, F16};
+    use smat_formats::{Coo, F16};
 
     fn matrix(shift: usize) -> Csr<F16> {
         let mut coo = Coo::new(64, 64);
@@ -531,17 +676,41 @@ mod tests {
         MatrixKey::new(MatrixFingerprint::of_csr(a), cfg)
     }
 
+    /// Get-or-prepares `a` as the unsharded tenant `key`; returns its
+    /// handle and whether it was a hit.
+    fn prepare_in(
+        reg: &PreparedMatrixRegistry<F16>,
+        key: MatrixKey,
+        a: &Csr<F16>,
+        cfg: &SmatConfig,
+    ) -> (Smat<F16>, bool) {
+        let (tenant, hit) = reg.get_or_prepare(key, || {
+            Tenant::unsharded(key, Smat::prepare(a, cfg.clone()))
+        });
+        (tenant.shards()[0].clone(), hit)
+    }
+
+    /// Gives `h` an overlay correction for a compaction to fold, unless
+    /// its base already holds `value` at (0, 1).
+    fn dirty(h: &Smat<F16>, value: f64) {
+        h.apply_updates(&[smat::MatrixUpdate::Update {
+            row: 0,
+            col: 1,
+            value: F16::from_f64(value),
+        }]);
+    }
+
     #[test]
     fn prepare_runs_once_and_is_shared() {
         let cfg = SmatConfig::default();
         let a = matrix(0);
         let key = key_of(&a, &cfg);
         let reg: PreparedMatrixRegistry<F16> = PreparedMatrixRegistry::new(4);
-        let (first, hit1) = reg.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+        let (first, hit1) = prepare_in(&reg, key, &a, &cfg);
         assert!(!hit1);
         let (second, hit2) = reg.get_or_prepare(key, || panic!("must not re-prepare"));
         assert!(hit2);
-        assert!(std::ptr::eq(first.bcsr(), second.bcsr()), "shared handle");
+        assert!(first.ptr_eq(&second.shards()[0]), "shared handle");
         let s = reg.stats();
         assert_eq!((s.hits, s.misses, s.prepares), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -557,8 +726,8 @@ mod tests {
         };
         assert_ne!(key_of(&a, &cfg16), key_of(&a, &cfg8));
         let reg: PreparedMatrixRegistry<F16> = PreparedMatrixRegistry::new(4);
-        reg.get_or_prepare(key_of(&a, &cfg16), || Smat::prepare(&a, cfg16.clone()));
-        reg.get_or_prepare(key_of(&a, &cfg8), || Smat::prepare(&a, cfg8.clone()));
+        prepare_in(&reg, key_of(&a, &cfg16), &a, &cfg16);
+        prepare_in(&reg, key_of(&a, &cfg8), &a, &cfg8);
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.stats().prepares, 2);
     }
@@ -569,11 +738,11 @@ mod tests {
         let (a0, a1, a2) = (matrix(0), matrix(1), matrix(2));
         let (k0, k1, k2) = (key_of(&a0, &cfg), key_of(&a1, &cfg), key_of(&a2, &cfg));
         let reg: PreparedMatrixRegistry<F16> = PreparedMatrixRegistry::new(2);
-        reg.get_or_prepare(k0, || Smat::prepare(&a0, cfg.clone()));
-        reg.get_or_prepare(k1, || Smat::prepare(&a1, cfg.clone()));
+        prepare_in(&reg, k0, &a0, &cfg);
+        prepare_in(&reg, k1, &a1, &cfg);
         // Touch k0 so k1 is the LRU victim.
         assert!(reg.get(&k0).is_some());
-        reg.get_or_prepare(k2, || Smat::prepare(&a2, cfg.clone()));
+        prepare_in(&reg, k2, &a2, &cfg);
         assert_eq!(reg.stats().evictions, 1);
         assert!(reg.get(&k0).is_some(), "recently used entry survives");
         assert!(reg.get(&k1).is_none(), "stalest entry was evicted");
@@ -586,7 +755,7 @@ mod tests {
         let a = matrix(0);
         let key = key_of(&a, &cfg);
         let reg: PreparedMatrixRegistry<F16> = PreparedMatrixRegistry::new(2);
-        let (handle, _) = reg.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+        let (handle, _) = prepare_in(&reg, key, &a, &cfg);
         assert!(reg.invalidate(&key));
         assert!(!reg.invalidate(&key), "second invalidate is a no-op");
         assert!(reg.get(&key).is_none());
@@ -623,7 +792,7 @@ mod tests {
         let cfg2 = cfg.clone();
         assert!(reg.warm_prepare(key, move || {
             g.wait();
-            Smat::prepare(&a2, cfg2)
+            Tenant::unsharded(key, Smat::prepare(&a2, cfg2))
         }));
         assert_eq!(reg.admission_state(&key), AdmissionState::Preparing);
         assert!(
@@ -631,7 +800,7 @@ mod tests {
             "second warm_prepare must be a no-op"
         );
         gate.wait();
-        let handle = reg.wait_ready(&key).expect("resident");
+        let handle = reg.wait_ready(&key).expect("resident").shards()[0].clone();
         assert_eq!(reg.admission_state(&key), AdmissionState::Ready);
         let s = reg.stats();
         assert_eq!((s.warm_prepares, s.prepares), (1, 1));
@@ -650,19 +819,21 @@ mod tests {
         let (a2, cfg2) = (a.clone(), cfg.clone());
         reg.warm_prepare(key, move || {
             g.wait();
-            Smat::prepare(&a2, cfg2)
+            Tenant::unsharded(key, Smat::prepare(&a2, cfg2))
         });
 
         // Park two waiters mid-prepare; both must observe the same Arc.
         let seen: Arc<Mutex<Vec<Smat<F16>>>> = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..2 {
             let sink = Arc::clone(&seen);
-            let r = reg.get_or_park(&key, move |smat| sink.lock().unwrap().push(smat));
+            let r = reg.get_or_park(&key, move |t| {
+                sink.lock().unwrap().push(t.shards()[0].clone());
+            });
             assert!(matches!(r, ParkResult::Parked));
         }
         assert_eq!(reg.stats().parked, 2);
         gate.wait();
-        let direct = reg.wait_ready(&key).unwrap();
+        let direct = reg.wait_ready(&key).unwrap().shards()[0].clone();
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 2);
         for s in seen.iter() {
@@ -692,12 +863,13 @@ mod tests {
         let (a2, cfg2) = (a.clone(), cfg.clone());
         reg.warm_prepare(key, move || {
             g.wait();
-            Smat::prepare(&a2, cfg2)
+            Tenant::unsharded(key, Smat::prepare(&a2, cfg2))
         });
         gate.wait();
         // This may race the warm thread's fulfillment, but must never run
         // its own closure.
         let (handle, hit) = reg.get_or_prepare(key, || panic!("duplicate prepare"));
+        let handle = &handle.shards()[0];
         assert!(hit, "warm-prepared key counts as resident");
         assert_eq!(reg.stats().prepares, 1);
         let b = smat_formats::Dense::from_fn(64, 8, |i, j| F16::from_f64(((i + j) % 3) as f64));
@@ -722,11 +894,13 @@ mod tests {
         let seen: Arc<Mutex<Vec<Smat<F16>>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         assert_eq!(
-            reg.get_or_park(&key, move |s| sink.lock_or_recover().push(s)),
+            reg.get_or_park(&key, move |t| sink
+                .lock_or_recover()
+                .push(t.shards()[0].clone())),
             ParkResult::Parked
         );
         // The retry prepares, publishes, and drains the surviving waiter.
-        let (handle, hit) = reg.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+        let (handle, hit) = prepare_in(&reg, key, &a, &cfg);
         assert!(hit, "the slot survived the panic");
         assert_eq!(reg.admission_state(&key), AdmissionState::Ready);
         assert_eq!(
@@ -754,7 +928,7 @@ mod tests {
         gate.wait();
         // Possibly racing the warm thread's unwind: if its producer flag is
         // still set we wait for the unwind guard's reset, then retry.
-        let (handle, hit) = reg.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+        let (handle, hit) = prepare_in(&reg, key, &a, &cfg);
         assert!(hit);
         assert_eq!(reg.admission_state(&key), AdmissionState::Ready);
         let s = reg.stats();
@@ -774,7 +948,7 @@ mod tests {
         let a = matrix(0);
         let key = key_of(&a, &cfg);
         let reg: PreparedMatrixRegistry<F16> = PreparedMatrixRegistry::new(4);
-        let (old, _) = reg.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+        let (old, _) = prepare_in(&reg, key, &a, &cfg);
         // Mutate, then compact: the fresh handle must serve base ⊕ overlay
         // with an empty (folded-in) overlay.
         old.apply_updates(&[smat::MatrixUpdate::Update {
@@ -787,7 +961,7 @@ mod tests {
             Smat::prepare(&h.merged_csr(), h.config().clone())
         }));
         reg.wait_compactions();
-        let fresh = reg.get(&key).expect("tenant still resident");
+        let fresh = reg.peek(&key).expect("tenant still resident");
         assert!(!fresh.ptr_eq(&old), "the handle was swapped");
         assert_eq!(
             fresh.overlay_snapshot().correction_terms(),
@@ -816,7 +990,12 @@ mod tests {
             !reg.compact_prepare(key, |_| panic!("nothing to compact")),
             "absent tenants cannot compact"
         );
-        reg.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+        let (handle, _) = prepare_in(&reg, key, &a, &cfg);
+        assert!(
+            !reg.compact_prepare(key, |_| panic!("nothing to fold")),
+            "a tenant without corrections has nothing to compact"
+        );
+        dirty(&handle, 7.0);
         let gate = Arc::new(std::sync::Barrier::new(2));
         let g = Arc::clone(&gate);
         assert!(reg.compact_prepare(key, move |h| {
@@ -831,6 +1010,7 @@ mod tests {
         reg.wait_compactions();
         assert_eq!(reg.stats().compactions, 1);
         // The guard cleared: a new compaction is admissible again.
+        dirty(&reg.peek(&key).expect("resident"), 5.0);
         assert!(reg.compact_prepare(key, |h| Smat::prepare(&h.merged_csr(), h.config().clone())));
         reg.wait_compactions();
         assert_eq!(reg.stats().compactions, 2);
@@ -845,7 +1025,10 @@ mod tests {
         let a = matrix(2);
         let key = key_of(&a, &cfg);
         let reg: PreparedMatrixRegistry<F16> = PreparedMatrixRegistry::new(4);
-        let (old, _) = reg.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+        let (old, _) = prepare_in(&reg, key, &a, &cfg);
+        let b = smat_formats::Dense::from_fn(64, 8, |i, j| F16::from_f64(((i + j) % 3) as f64));
+        let want = old.spmm(&b).c;
+        dirty(&old, 7.0);
         let gate = Arc::new(std::sync::Barrier::new(2));
         let g = Arc::clone(&gate);
         assert!(reg.compact_prepare(key, move |h| {
@@ -866,8 +1049,8 @@ mod tests {
             "abandoned publishes don't count"
         );
         // The old handle survived the whole episode (the compactor's pin).
-        let b = smat_formats::Dense::from_fn(64, 8, |i, j| F16::from_f64(((i + j) % 3) as f64));
-        assert_eq!(old.spmm(&b).c, a.spmm_reference(&b));
+        assert_eq!(old.spmm(&b).c, old.merged_csr().spmm_reference(&b));
+        assert_ne!(old.spmm(&b).c, want, "and still serves its overlay");
     }
 
     #[test]
@@ -876,10 +1059,11 @@ mod tests {
         let a = matrix(3);
         let key = key_of(&a, &cfg);
         let reg: PreparedMatrixRegistry<F16> = PreparedMatrixRegistry::new(4);
-        let (old, _) = reg.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+        let (old, _) = prepare_in(&reg, key, &a, &cfg);
+        dirty(&old, 7.0);
         assert!(reg.compact_prepare(key, |_| panic!("compaction blew up")));
         reg.wait_compactions();
-        let current = reg.get(&key).expect("tenant still resident");
+        let current = reg.peek(&key).expect("tenant still resident");
         assert!(current.ptr_eq(&old), "the old handle still serves");
         assert_eq!(reg.stats().compactions, 0);
         // The single-flight guard was cleared by the unwind: retry works.
@@ -895,7 +1079,7 @@ mod tests {
         let key = key_of(&a, &cfg);
         let reg: PreparedMatrixRegistry<F16> = PreparedMatrixRegistry::new(4);
         assert!(reg.peek(&key).is_none());
-        reg.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+        prepare_in(&reg, key, &a, &cfg);
         let before = reg.stats();
         assert!(reg.peek(&key).is_some());
         let after = reg.stats();

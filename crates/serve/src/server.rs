@@ -2,12 +2,13 @@
 //! same-matrix batching, and async completion.
 //!
 //! One worker thread owns each simulated device. [`Server::submit`] resolves
-//! the prepared handle from the registry, consults the plan cache (refusing
-//! inadmissible plans before they occupy queue slots), picks the
-//! least-loaded device whose bounded queue has room, and returns a future.
-//! The worker coalesces same-matrix requests up to the column budget into
-//! one wide launch ([`crate::batch::spmm_batched`]) and fulfills each
-//! request with its slice of the output.
+//! the tenant from the registry, consults the plan cache for every shard
+//! (refusing inadmissible plans before they occupy queue slots), places one
+//! sub-request per shard on the least-loaded device whose bounded queue has
+//! room, and returns a future. The worker coalesces same-shard requests up
+//! to the column budget into one wide launch
+//! ([`crate::batch::spmm_batched`]); every request completes through a
+//! [`FanoutJoin`] over its shards — a pass-through for the one-shard case.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -23,15 +24,14 @@ use std::time::{Duration, Instant};
 use smat::{MatrixUpdate, OverlaySnapshot, Planner, Smat, SmatConfig};
 use smat_formats::{Csr, Dense, Element, MatrixFingerprint};
 use smat_gpusim::{compose_key, FaultConfig, FaultPlan, Gpu, SimError};
-use smat_shard::{partition, FanoutJoin, ShardPlan};
+use smat_shard::{FanoutJoin, ShardPlan, ShardPolicy};
 
 use crate::batch::{spmm_batched, spmm_scalar_fallback, take_batch};
 use crate::chaos::{ChaosCounters, CircuitBreaker, RecoveryPolicy};
 use crate::error::{RejectReason, ServeError};
 use crate::oneshot::{self, Receiver};
 use crate::plan::PlanCache;
-use crate::registry::{MatrixKey, ParkResult, PreparedMatrixRegistry};
-use crate::sharded::{fulfill_entry, shard_policy, ShardTable, ShardedEntry};
+use crate::registry::{MatrixKey, ParkResult, PreparedMatrixRegistry, Tenant};
 use crate::stats::{DeviceStats, LatencyStats, ServerStats};
 
 /// Serving engine parameters.
@@ -66,11 +66,12 @@ pub struct ServerConfig {
     pub recovery: RecoveryPolicy,
     /// Shard byte budget for registered matrices. `Some(n)` with `n > 0`
     /// partitions any matrix whose estimated CSR footprint exceeds `n`
-    /// into nnz-balanced row shards, each prepared and cached
-    /// independently; submissions against the parent key fan out across
-    /// the pool and the per-shard products are row-concatenated (bitwise
-    /// identical to unsharded execution). `None` (the default) and
-    /// `Some(0)` disable sharding.
+    /// into nnz-balanced row shards, each prepared, planned, cached and
+    /// mutated independently within the tenant's one registry line;
+    /// submissions fan out one sub-request per shard across the pool and
+    /// the per-shard products are row-concatenated (bitwise identical to
+    /// unsharded execution). `None` (the default) and `Some(0)` keep every
+    /// tenant in one shard.
     pub shard_max_bytes: Option<usize>,
     /// Cost-model-driven admission planner. `None` (the default) prepares
     /// every registration under [`ServerConfig::smat`] verbatim. `Some`
@@ -208,45 +209,12 @@ impl<T> Future for ResponseFuture<T> {
     }
 }
 
-/// Where a request's terminal result goes: straight to the submitter, or
-/// into the join of a sharded fan-out.
-///
-/// The distinction also gates the pool-level request counters
-/// (`submitted`, `completed`, the `rejected_*` family, `failed`,
-/// latencies): a fanned-out request counts **once**, at the parent level —
-/// sub-requests only feed the per-device `dispatched`/`completed` pair and
-/// the batching counters, so `submitted`/`completed` keep meaning
-/// "requests the caller sees" whether or not sharding is on.
-enum Responder<T> {
-    /// An unsharded request: resolve the submitter's future directly.
-    Direct(oneshot::Sender<Result<ServeResponse<T>, ServeError>>),
-    /// One shard of a fan-out: deliver into the join (idempotent per
-    /// shard; the join resolves the parent once every shard landed).
-    Shard {
-        join: Arc<FanoutJoin<Result<ServeResponse<T>, ServeError>>>,
-        shard: usize,
-    },
-}
+/// A request's terminal result.
+type Outcome<T> = Result<ServeResponse<T>, ServeError>;
 
-impl<T: Send> Responder<T> {
-    /// Delivers the terminal result.
-    fn send(self, result: Result<ServeResponse<T>, ServeError>) {
-        match self {
-            Responder::Direct(tx) => tx.send(result),
-            Responder::Shard { join, shard } => {
-                join.complete(shard, result);
-            }
-        }
-    }
-
-    /// Whether this request owns the pool-level request counters.
-    fn is_direct(&self) -> bool {
-        matches!(self, Responder::Direct(_))
-    }
-}
-
-/// One in-queue request.
+/// One in-queue request: one shard's sub-request of a submission.
 struct Request<T> {
+    /// The shard's key (for a one-shard tenant, the tenant key).
     key: MatrixKey,
     smat: Smat<T>,
     /// The overlay snapshot pinned at admission. The batcher keys on
@@ -261,7 +229,16 @@ struct Request<T> {
     /// Monotone per-server submission id — the request's identity on trace
     /// timelines (batch membership, lifecycle spans).
     seq: u64,
-    responder: Responder<T>,
+    /// The submission's join (see [`make_join`]) and this shard's part in it.
+    join: Arc<FanoutJoin<Outcome<T>>>,
+    shard: usize,
+}
+
+impl<T: Send> Request<T> {
+    /// Delivers the terminal result into the submission's join.
+    fn finish(self, result: Outcome<T>) {
+        self.join.complete(self.shard, result);
+    }
 }
 
 /// Per-device state shared between the submitter and one worker.
@@ -271,7 +248,7 @@ struct DeviceState<T> {
     /// Outstanding B columns (queued + in flight) — the load metric of
     /// least-loaded dispatch.
     load_cols: AtomicUsize,
-    /// Requests (direct and shard sub-requests) enqueued to this device.
+    /// Sub-requests enqueued to this device.
     dispatched: AtomicU64,
     /// Terminal responses delivered by this device's worker. At quiescence
     /// `dispatched == completed`, or a request was lost.
@@ -315,7 +292,7 @@ struct Central {
     batches: AtomicU64,
     batched_requests: AtomicU64,
     max_batch: AtomicU64,
-    /// Sharded parent requests fanned out by the matrix-level scheduler.
+    /// Requests against tenants of more than one shard.
     fanouts: AtomicU64,
     /// Per-shard sub-requests those fan-outs emitted.
     shard_subrequests: AtomicU64,
@@ -368,9 +345,6 @@ pub struct Server<T: Element> {
     shared: Arc<PoolShared<T>>,
     registry: Arc<PreparedMatrixRegistry<T>>,
     plans: Arc<PlanCache>,
-    /// Matrix-level scheduler state: parent keys that were registered as
-    /// sharded, each with its partition plan and pinned shard handles.
-    sharded: ShardTable<T>,
     config: ServerConfig,
     workers: Vec<JoinHandle<()>>,
 }
@@ -427,7 +401,6 @@ impl<T: Element> Server<T> {
             shared,
             registry: Arc::new(PreparedMatrixRegistry::new(config.registry_capacity)),
             plans: Arc::new(PlanCache::new(config.plan_capacity)),
-            sharded: ShardTable::new(),
             config,
             workers,
         }
@@ -439,57 +412,34 @@ impl<T: Element> Server<T> {
     /// matrix are registry hits and cost one fingerprint pass, not a
     /// prepare.
     ///
-    /// When [`ServerConfig::shard_max_bytes`] is set and the matrix
-    /// exceeds the budget, it is partitioned instead: each shard is
-    /// prepared under its own fingerprint (deduplicated through the same
-    /// registry) and submissions against the returned key fan out across
-    /// the pool.
+    /// Under [`ServerConfig::shard_max_bytes`] a matrix over the budget
+    /// becomes a tenant of several row shards, each prepared (and, with a
+    /// planner, planned) on its own row slice; submissions against the
+    /// returned key fan out across the pool.
     pub fn register(&self, a: &Csr<T>) -> MatrixKey {
+        self.register_as(a, self.preparer(None))
+    }
+
+    /// Registers `a` under an explicit pinned configuration, bypassing the
+    /// admission planner; the shard budget still applies. The key is
+    /// derived from `cfg`'s digest, so the same matrix pinned under
+    /// different configurations coexists in the registry (and is distinct
+    /// from its planner-managed registration). Tenants that know their
+    /// configuration use this; everyone else goes through
+    /// [`Server::register`] and lets the planner choose.
+    pub fn register_with_config(&self, a: &Csr<T>, cfg: SmatConfig) -> MatrixKey {
+        self.register_as(a, self.preparer(Some(cfg)))
+    }
+
+    fn register_as(&self, a: &Csr<T>, preparer: Preparer) -> MatrixKey {
         // With an admission planner, the key still identifies
         // (matrix, base config): deciding before key derivation would make
         // key computation as expensive as planning, and equal matrices
         // must keep deduplicating regardless of when they were planned.
-        // The prepared handle carries the planned configuration.
-        let key = MatrixKey::new(MatrixFingerprint::of_csr(a), &self.config.smat);
-        if let Some(policy) = shard_policy(self.config.shard_max_bytes) {
-            let plan = partition(a, &policy);
-            if plan.is_sharded() {
-                let slot = self.sharded.slot(key);
-                fulfill_entry(
-                    &slot,
-                    &self.registry,
-                    a,
-                    plan,
-                    &self.config.smat,
-                    self.config.planner.as_ref(),
-                    self.config.column_budget,
-                );
-                return key;
-            }
-        }
-        let cfg = self.config.smat.clone();
-        let planner = self.config.planner.clone();
-        let width = self.config.column_budget;
-        self.registry.get_or_prepare(key, || match planner {
-            Some(p) => {
-                let d = p.decide(a, width, &cfg);
-                Smat::prepare_with_plan(a, d.apply(&cfg), d)
-            }
-            None => Smat::prepare(a, cfg),
-        });
-        key
-    }
-
-    /// Registers `a` under an explicit pinned configuration, bypassing
-    /// both the admission planner and sharding. The key is derived from
-    /// `cfg`'s digest, so the same matrix pinned under different
-    /// configurations coexists in the registry (and is distinct from its
-    /// planner-managed registration). Tenants that know their
-    /// configuration use this; everyone else goes through
-    /// [`Server::register`] and lets the planner choose.
-    pub fn register_with_config(&self, a: &Csr<T>, cfg: SmatConfig) -> MatrixKey {
-        let key = MatrixKey::new(MatrixFingerprint::of_csr(a), &cfg);
-        self.registry.get_or_prepare(key, || Smat::prepare(a, cfg));
+        // The prepared handles carry the planned configurations.
+        let key = MatrixKey::new(MatrixFingerprint::of_csr(a), &preparer.cfg);
+        self.registry
+            .get_or_prepare(key, || preparer.tenant(a, key));
         key
     }
 
@@ -500,124 +450,124 @@ impl<T: Element> Server<T> {
     /// registration barrier. Beyond the fingerprint pass this is a no-op if
     /// an equal matrix is already resident or already being prepared.
     pub fn warm_prepare(&self, a: &Csr<T>) -> MatrixKey {
-        let key = MatrixKey::new(MatrixFingerprint::of_csr(a), &self.config.smat);
-        if let Some(policy) = shard_policy(self.config.shard_max_bytes) {
-            let plan = partition(a, &policy);
-            if plan.is_sharded() {
-                let slot = self.sharded.slot(key);
-                if !slot.is_ready() {
-                    let registry = Arc::clone(&self.registry);
-                    let cfg = self.config.smat.clone();
-                    let planner = self.config.planner.clone();
-                    let width = self.config.column_budget;
-                    let a = a.clone();
-                    let handle = std::thread::Builder::new()
-                        .name("smat-serve-shard-warm".into())
-                        .spawn(move || {
-                            fulfill_entry(
-                                &slot,
-                                &registry,
-                                &a,
-                                plan,
-                                &cfg,
-                                planner.as_ref(),
-                                width,
-                            );
-                        })
-                        .expect("spawn shard warm thread");
-                    self.sharded.push_warm(handle);
-                }
-                return key;
-            }
-        }
-        let cfg = self.config.smat.clone();
-        let planner = self.config.planner.clone();
-        let width = self.config.column_budget;
+        let preparer = self.preparer(None);
+        let key = MatrixKey::new(MatrixFingerprint::of_csr(a), &preparer.cfg);
         let a = a.clone();
-        self.registry.warm_prepare(key, move || match planner {
-            Some(p) => {
-                let d = p.decide(&a, width, &cfg);
-                Smat::prepare_with_plan(&a, d.apply(&cfg), d)
-            }
-            None => Smat::prepare(&a, cfg),
-        });
+        self.registry
+            .warm_prepare(key, move || preparer.tenant(&a, key));
         key
     }
 
-    /// The partition plan behind `key`, if it was registered as sharded
-    /// and its shards have finished preparing.
+    /// How a registration is prepared on this server: under the base
+    /// configuration and the planner, or under a `pinned` one alone.
+    fn preparer(&self, pinned: Option<SmatConfig>) -> Preparer {
+        let (cfg, planner) = match pinned {
+            Some(cfg) => (cfg, None),
+            None => (self.config.smat.clone(), self.config.planner.clone()),
+        };
+        Preparer {
+            cfg,
+            planner,
+            width: self.config.column_budget,
+            policy: ShardPolicy {
+                max_bytes: self.config.shard_max_bytes.unwrap_or(0),
+            },
+        }
+    }
+
+    /// The partition plan behind `key`, if it is resident with more than
+    /// one shard.
     pub fn shard_plan(&self, key: &MatrixKey) -> Option<Arc<ShardPlan>> {
-        self.sharded.plan(key)
+        self.registry
+            .peek_tenant(key)
+            .map(|tenant| Arc::clone(tenant.plan()))
+            .filter(|plan| plan.is_sharded())
     }
 
     /// Applies a batch of cell mutations to the registered matrix `key` and
-    /// returns the overlay epoch the batch landed at.
+    /// returns the overlay epoch the batch landed at: the sum of the
+    /// shards' epochs, so for an unsharded tenant simply its epoch.
     ///
-    /// The updates accumulate in the tenant's COO overlay: subsequent
-    /// submissions admit under the new epoch and compute against
+    /// Each update goes to the shard owning its row, in that shard's
+    /// coordinates, and accumulates in the shard's COO overlay: subsequent
+    /// submissions admit under the new epochs and compute against
     /// `base ⊕ overlay` (bitwise identical to a from-scratch re-prepare of
     /// the mutated matrix), while requests already admitted finish on the
-    /// snapshot they pinned. Nothing re-prepares inline — when the policy
-    /// says the overlay has grown past the amortization point, a background
-    /// compaction folds it into a fresh prepared handle and atomically
-    /// swaps it in ([`Server::compact`]).
+    /// snapshots they pinned. Nothing re-prepares inline — when the policy
+    /// says a shard's overlay has grown past the amortization point, a
+    /// background compaction folds the overlays into fresh prepared handles
+    /// and atomically swaps them in ([`Server::compact`]). A batch spanning
+    /// shards is applied shard by shard: a request admitted concurrently
+    /// may see it in some shards and not yet in others.
     ///
     /// Every update carries absolute cell state (an explicit value, or
     /// deletion), so re-applying a batch is idempotent; the swap race with
     /// a concurrent compaction is resolved by re-applying to the fresh
     /// handle, never by blocking either side.
     ///
-    /// Errors: [`ServeError::UnknownMatrix`] for unregistered keys,
-    /// [`ServeError::MutationUnsupported`] for sharded registrations (shard
-    /// fingerprints are content-derived; mutating them is future work), and
+    /// Errors: [`ServeError::UnknownMatrix`] for unregistered keys and
     /// [`ServeError::UpdateOutOfBounds`] if any update targets a cell
     /// outside the matrix — checked up front, so a rejected batch mutates
     /// nothing.
     pub fn mutate(&self, key: MatrixKey, ops: &[MatrixUpdate<T>]) -> Result<u64, ServeError> {
-        if self.sharded.lookup(&key).is_some() {
-            return Err(ServeError::MutationUnsupported);
-        }
         // `peek`, not `get`: mutation is not a serving lookup and must not
         // perturb LRU recency or the hit/miss counters.
-        let Some(mut handle) = self.registry.peek(&key) else {
+        let Some(tenant) = self.registry.peek_tenant(&key) else {
             return Err(ServeError::UnknownMatrix);
         };
-        let fp = handle.fingerprint();
+        let (nrows, ncols) = (tenant.plan().nrows, tenant.plan().ncols);
+        if let Some((row, col)) = ops
+            .iter()
+            .map(MatrixUpdate::cell)
+            .find(|&(row, col)| row >= nrows || col >= ncols)
+        {
+            return Err(ServeError::UpdateOutOfBounds {
+                nrows,
+                ncols,
+                row,
+                col,
+            });
+        }
+        let mut routed = vec![Vec::new(); tenant.shards().len()];
         for op in ops {
-            let (row, col) = op.cell();
-            if row >= fp.nrows || col >= fp.ncols {
-                return Err(ServeError::UpdateOutOfBounds {
-                    nrows: fp.nrows,
-                    ncols: fp.ncols,
-                    row,
-                    col,
-                });
-            }
+            let row = op.cell().0;
+            let s = tenant.shard_of(row);
+            routed[s].push(op.with_row(row - tenant.plan().shards[s].row_start));
         }
-        if ops.is_empty() {
-            return Ok(handle.overlay_epoch());
-        }
-        // Apply, then confirm the handle is still the resident one. A
-        // background compaction publishing between the peek and the apply
-        // would strand the updates on the retired handle (the compactor's
-        // rebase only carries what it observed) — re-apply to the fresh
-        // handle; absolute-state updates make the double-apply harmless.
-        let epoch = loop {
-            let epoch = handle.apply_updates(ops);
-            match self.registry.peek(&key) {
-                Some(cur) if cur.ptr_eq(&handle) => break epoch,
-                Some(cur) => handle = cur,
-                // Evicted mid-mutation: the updates rode the retired handle
-                // out. The tenant is gone either way.
-                None => break epoch,
+        let mut epoch = 0;
+        let mut due = false;
+        for (s, shard_ops) in routed.iter().enumerate() {
+            let mut handle = tenant.shards()[s].clone();
+            if shard_ops.is_empty() {
+                epoch += handle.overlay_epoch();
+                continue;
             }
-        };
-        self.shared
-            .central
-            .mutations
-            .fetch_add(1, Ordering::Relaxed);
-        if self.config.compaction.auto && self.overlay_past_amortization(&handle) {
-            self.compact(key);
+            // Apply, then confirm the handle is still the resident one. A
+            // background compaction publishing between the peek and the
+            // apply would strand the updates on the retired handle (the
+            // compactor's rebase only carries what it observed) — re-apply
+            // to the fresh handle; absolute-state updates make the
+            // double-apply harmless.
+            epoch += loop {
+                let landed = handle.apply_updates(shard_ops);
+                match self.registry.peek_tenant(&key) {
+                    Some(cur) if cur.shards()[s].ptr_eq(&handle) => break landed,
+                    Some(cur) => handle = cur.shards()[s].clone(),
+                    // Evicted mid-mutation: the updates rode the retired
+                    // handle out. The tenant is gone either way.
+                    None => break landed,
+                }
+            };
+            due |= self.overlay_past_amortization(&handle);
+        }
+        if !ops.is_empty() {
+            self.shared
+                .central
+                .mutations
+                .fetch_add(1, Ordering::Relaxed);
+            if self.config.compaction.auto && due {
+                self.compact(key);
+            }
         }
         Ok(epoch)
     }
@@ -651,27 +601,24 @@ impl<T: Element> Server<T> {
     }
 
     /// Starts a background compaction of `key`: re-prepares
-    /// `base ⊕ overlay` off-thread (reusing the warm-prepare park/publish
-    /// machinery) and atomically swaps the registry handle. Serving never
-    /// blocks — submissions keep admitting against the old handle until the
-    /// swap, and in-flight requests finish on the snapshot they pinned.
-    /// Mutations racing the swap are rebased onto the fresh handle.
+    /// `base ⊕ overlay` of every shard whose overlay carries corrections
+    /// off-thread (reusing the warm-prepare park/publish machinery) and
+    /// atomically swaps the fresh handles in. Serving never blocks —
+    /// submissions keep admitting against the old handles until the swap,
+    /// and in-flight requests finish on the snapshots they pinned.
+    /// Mutations racing the swap are rebased onto the fresh handles.
     ///
-    /// Returns `false` (without spawning) if the key is not resident or a
-    /// compaction for it is already in flight. With an admission planner
-    /// the merged matrix is re-planned from the base configuration;
-    /// otherwise it re-prepares under the old handle's configuration.
+    /// Returns `false` (without spawning) if the key is not resident, has
+    /// nothing to fold, or a compaction for it is already in flight. With
+    /// an admission planner each merged shard is re-planned from the base
+    /// configuration; otherwise it re-prepares under its old handle's
+    /// configuration.
     pub fn compact(&self, key: MatrixKey) -> bool {
-        let cfg = self.config.smat.clone();
-        let planner = self.config.planner.clone();
-        let width = self.config.column_budget;
+        let preparer = self.preparer(None);
         self.registry.compact_prepare(key, move |old| {
             let merged = old.merged_csr();
-            match planner {
-                Some(p) => {
-                    let d = p.decide(&merged, width, &cfg);
-                    Smat::prepare_with_plan(&merged, d.apply(&cfg), d)
-                }
+            match preparer.planner {
+                Some(_) => preparer.shard(&merged),
                 None => Smat::prepare(&merged, old.config().clone()),
             }
         })
@@ -684,13 +631,11 @@ impl<T: Element> Server<T> {
         self.registry.wait_compactions();
     }
 
-    /// Drops the registration for `key` (sharded or not). In-flight
-    /// requests and compactions keep their pinned handles; new submissions
-    /// see [`ServeError::UnknownMatrix`]. Returns whether anything was
-    /// removed.
+    /// Drops the registration for `key`. In-flight requests and
+    /// compactions keep their pinned handles; new submissions see
+    /// [`ServeError::UnknownMatrix`]. Returns whether anything was removed.
     pub fn invalidate(&self, key: &MatrixKey) -> bool {
-        let was_sharded = self.sharded.remove(key);
-        self.registry.invalidate(key) || was_sharded
+        self.registry.invalidate(key)
     }
 
     /// Submits `C = A·B` for the registered matrix `key` with the
@@ -726,50 +671,17 @@ impl<T: Element> Server<T> {
         // in-flight preparation counts against the request's budget.
         let now = Instant::now();
         let deadline = deadline.map(|d| now + d);
-        // Sharded keys are resolved by the matrix-level scheduler, never
-        // the registry directly (a parent key has no registry entry, and a
-        // probe there would count a spurious miss). If the shard entry is
-        // still preparing, the fan-out parks on it exactly like unsharded
-        // submissions park on a warm prepare.
-        if let Some(slot) = self.sharded.lookup(&key) {
-            let shared = Arc::clone(&self.shared);
-            let plans = Arc::clone(&self.plans);
-            let queue_capacity = self.config.queue_capacity;
-            let inline = slot.park(Box::new(move |entry: ShardedEntry<T>| {
-                fan_out(
-                    &shared,
-                    &plans,
-                    queue_capacity,
-                    &entry,
-                    b,
-                    deadline,
-                    now,
-                    seq,
-                    tx,
-                );
-            }));
-            adm_span.arg(
-                "outcome",
-                if inline {
-                    "fanned_out"
-                } else {
-                    "parked_sharded"
-                },
-            );
-            return fut;
-        }
-        if let Some(smat) = self.registry.get(&key) {
+        if let Some(tenant) = self.registry.get(&key) {
             admit_prepared(
                 &self.shared,
                 &self.plans,
                 self.config.queue_capacity,
-                key,
-                smat,
+                tenant,
                 b,
                 deadline,
                 now,
                 seq,
-                Responder::Direct(tx),
+                tx,
                 &mut adm_span,
             );
             return fut;
@@ -784,7 +696,7 @@ impl<T: Element> Server<T> {
         let queue_capacity = self.config.queue_capacity;
         let tx_cell = Arc::new(Mutex::labeled("server.parked_tx", Some(tx)));
         let tx_park = Arc::clone(&tx_cell);
-        match self.registry.get_or_park(&key, move |smat| {
+        match self.registry.get_or_park(&key, move |tenant| {
             // POLICY (poisoning): recover. The cell holds a `take`-once
             // Option; either arm observing a poisoned lock still sees a
             // consistent taken/untaken state.
@@ -800,13 +712,12 @@ impl<T: Element> Server<T> {
                 &shared,
                 &plans,
                 queue_capacity,
-                key,
-                smat,
+                tenant,
                 b,
                 deadline,
                 now,
                 seq,
-                Responder::Direct(tx),
+                tx,
                 &mut span,
             );
         }) {
@@ -850,7 +761,18 @@ impl<T: Element> Server<T> {
             }
         }
         self.shared.paused.store(false, Ordering::Release);
+        self.wake_workers();
+    }
+
+    /// Wakes every worker after `paused` or `shutdown` changed. Workers
+    /// test both flags under their queue lock before waiting, so taking
+    /// each queue lock first orders the wake-up after any worker that has
+    /// tested the old value and is about to wait — without it, that worker
+    /// would sleep through the change with requests in its queue.
+    fn wake_workers(&self) {
         for dev in &self.shared.devices {
+            // POLICY (poisoning): recover (see `enqueue`).
+            drop(dev.queue.lock_or_recover());
             dev.cv.notify_all();
         }
     }
@@ -954,15 +876,13 @@ impl<T: Element> Server<T> {
     /// Stops accepting work, drains every queue, and joins the workers.
     /// Called automatically on drop.
     pub fn shutdown(&mut self) {
-        // Background shard prepares first: their parked submissions fan out
-        // on the warm thread and land in queues before the drain begins.
-        self.sharded.join_warm();
+        // Background prepares first: their parked submissions admit on the
+        // warm thread and land in queues before the drain begins.
+        self.registry.wait_warm_prepares();
         // Then background compactions, so no swap publishes mid-teardown.
         self.registry.wait_compactions();
         self.shared.shutdown.store(true, Ordering::Release);
-        for dev in &self.shared.devices {
-            dev.cv.notify_all();
-        }
+        self.wake_workers();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -975,66 +895,156 @@ impl<T: Element> Drop for Server<T> {
     }
 }
 
-/// Admission tail shared by the inline, parked, and fan-out submit paths:
-/// shape check, plan pre-flight, least-loaded enqueue, typed backpressure.
-/// Runs on the submitting thread when the prepared handle is resident, and
-/// on the preparing thread for requests that parked on a warm prepare.
-/// Every rejection resolves the request's responder directly. Pool-level
-/// request counters fire only for [`Responder::Direct`] requests; shard
-/// sub-requests count once at the parent (see [`fan_out`]). Returns
-/// whether the request reached a queue.
+/// How a registration is prepared: the configuration its keys derive from,
+/// the admission planner (absent for pinned registrations), the planning
+/// width, and the shard budget.
+struct Preparer {
+    cfg: SmatConfig,
+    planner: Option<Arc<Planner>>,
+    width: usize,
+    policy: ShardPolicy,
+}
+
+impl Preparer {
+    /// Prepares one shard (or one compaction's merged shard): planned on
+    /// its own rows when a planner is present, under `cfg` verbatim
+    /// otherwise. A skewed tail shard can therefore land on a different
+    /// block shape or reordering than the dense head.
+    fn shard<T: Element>(&self, a: &Csr<T>) -> Smat<T> {
+        match &self.planner {
+            Some(p) => {
+                let decision = p.decide(a, self.width, &self.cfg);
+                Smat::prepare_with_plan(a, decision.apply(&self.cfg), decision)
+            }
+            None => Smat::prepare(a, self.cfg.clone()),
+        }
+    }
+
+    /// Partitions `a` under the shard budget and prepares every shard.
+    fn tenant<T: Element>(&self, a: &Csr<T>, key: MatrixKey) -> Tenant<T> {
+        Tenant::prepare(a, key, &self.policy, |shard| self.shard(shard))
+    }
+}
+
+/// Admission of one submission against its prepared tenant, shared by the
+/// inline and parked submit paths. Shutdown, shape, and every shard's plan
+/// pre-flight are checked before any queue slot is taken, so a rejected
+/// request never leaves orphan sub-requests behind. Then one sub-request
+/// per shard is placed by least-loaded dispatch, every one completing into
+/// the submission's join ([`make_join`]), which settles the request-level
+/// counters. Runs on the submitting thread when the tenant is resident,
+/// and on the preparing thread for requests that parked on a warm prepare.
 #[allow(clippy::too_many_arguments)]
 fn admit_prepared<T: Element>(
-    shared: &PoolShared<T>,
+    shared: &Arc<PoolShared<T>>,
     plans: &PlanCache,
     queue_capacity: usize,
-    key: MatrixKey,
-    smat: Smat<T>,
+    tenant: Tenant<T>,
     b: Dense<T>,
     deadline: Option<Instant>,
     enq: Instant,
     seq: u64,
-    responder: Responder<T>,
+    tx: oneshot::Sender<Outcome<T>>,
     adm_span: &mut smat_trace::SpanGuard,
-) -> bool {
+) {
     // Re-checked here because deferred admission may run after shutdown
     // began; workers ignore their queues once the drain completes.
     if shared.shutdown.load(Ordering::Acquire) {
         adm_span.arg("outcome", "shutdown");
-        responder.send(Err(ServeError::ShutDown));
-        return false;
+        tx.send(Err(ServeError::ShutDown));
+        return;
     }
-    if b.nrows() != smat.input_ncols() {
+    let expected_rows = tenant.plan().ncols;
+    if b.nrows() != expected_rows {
         adm_span.arg("outcome", "shape_mismatch");
-        responder.send(Err(ServeError::ShapeMismatch {
-            expected_rows: smat.input_ncols(),
+        tx.send(Err(ServeError::ShapeMismatch {
+            expected_rows,
             got_rows: b.nrows(),
         }));
-        return false;
+        return;
     }
-    // Pin the overlay epoch now: the plan, the batch key, and the executed
-    // correction set all derive from this snapshot, so the request finishes
-    // on the epoch it admitted under even if a mutation or a compaction
-    // swap lands while it waits in queue.
-    let overlay = smat.overlay_snapshot();
-    let plan = plans.get_or_build_pinned(key, b.ncols(), &smat, &overlay);
-    if !plan.admissible {
-        if responder.is_direct() {
+    // Pin every shard's overlay epoch now: the plan, the batch key, and the
+    // executed correction set all derive from these snapshots, so the
+    // request finishes on the epochs it admitted under even if a mutation
+    // or a compaction swap lands while it waits in queue.
+    let mut overlays = Vec::with_capacity(tenant.shards().len());
+    for (key, smat) in tenant.keys().iter().zip(tenant.shards()) {
+        let overlay = smat.overlay_snapshot();
+        let plan = plans.get_or_build_pinned(*key, b.ncols(), smat, &overlay);
+        if !plan.admissible {
             shared
                 .central
                 .rejected_preflight
                 .fetch_add(1, Ordering::Relaxed);
+            adm_span.arg("outcome", "preflight_rejected");
+            tx.send(Err(ServeError::Rejected(RejectReason::Preflight {
+                diagnostics: plan.diagnostics.as_ref().clone(),
+            })));
+            return;
         }
-        adm_span.arg("outcome", "preflight_rejected");
-        responder.send(Err(ServeError::Rejected(RejectReason::Preflight {
-            diagnostics: plan.diagnostics.as_ref().clone(),
-        })));
-        return false;
+        overlays.push(overlay);
     }
 
-    // Least-loaded dispatch: try devices by outstanding column count.
-    // Devices with an open circuit breaker sort last — a flapping device
-    // stops attracting new work until a success closes it.
+    let n = overlays.len();
+    if n > 1 {
+        shared.central.fanouts.fetch_add(1, Ordering::Relaxed);
+        shared
+            .central
+            .shard_subrequests
+            .fetch_add(n as u64, Ordering::Relaxed);
+        adm_span.arg("shards", n as u64);
+    }
+    let join = make_join(shared, n, enq, seq, tx);
+    // Sub-requests enqueue in shard order, each drawing a fresh seq (its
+    // fault key and trace identity); least-loaded dispatch then spreads
+    // them round-robin from an idle pool (each enqueue bumps the chosen
+    // device's load before the next sort). A one-shard request keeps its
+    // own seq and moves its panel instead of copying it.
+    let mut b = Some(b);
+    let mut enqueued = 0;
+    for (i, overlay) in overlays.into_iter().enumerate() {
+        let request = Request {
+            key: tenant.keys()[i],
+            smat: tenant.shards()[i].clone(),
+            overlay,
+            b: if i + 1 == n {
+                b.take().expect("the last shard takes the panel")
+            } else {
+                b.clone()
+                    .expect("the panel outlives every shard but the last")
+            },
+            deadline,
+            enq,
+            seq: if n == 1 {
+                seq
+            } else {
+                shared.central.next_seq.fetch_add(1, Ordering::Relaxed)
+            },
+            join: Arc::clone(&join),
+            shard: i,
+        };
+        if let Some(device) = enqueue(shared, queue_capacity, request) {
+            enqueued += 1;
+            adm_span.arg("device", device as u64);
+        }
+    }
+    if enqueued == n {
+        shared.central.submitted.fetch_add(1, Ordering::Relaxed);
+        adm_span.arg("outcome", "enqueued");
+    } else {
+        adm_span.arg("outcome", "queue_full");
+    }
+}
+
+/// Least-loaded dispatch of one sub-request: devices by outstanding column
+/// count, those with an open circuit breaker last (a flapping device stops
+/// attracting new work until a success closes it). Returns the device, or
+/// `None` once the request was rejected because every queue is at capacity.
+fn enqueue<T: Element>(
+    shared: &PoolShared<T>,
+    queue_capacity: usize,
+    request: Request<T>,
+) -> Option<usize> {
     let mut order: Vec<usize> = (0..shared.devices.len()).collect();
     order.sort_by_key(|&i| {
         (
@@ -1043,18 +1053,7 @@ fn admit_prepared<T: Element>(
             i,
         )
     });
-    let ncols = b.ncols();
-    let direct = responder.is_direct();
-    let mut request = Some(Request {
-        key,
-        smat,
-        overlay,
-        b,
-        deadline,
-        enq,
-        seq,
-        responder,
-    });
+    let ncols = request.b.ncols();
     for &i in &order {
         let dev = &shared.devices[i];
         // POLICY (poisoning): recover. Queues hold whole `Request` values;
@@ -1064,212 +1063,104 @@ fn admit_prepared<T: Element>(
         if q.len() >= queue_capacity {
             continue;
         }
-        q.push_back(request.take().expect("request still in hand"));
+        q.push_back(request);
         drop(q);
         dev.load_cols.fetch_add(ncols, Ordering::Relaxed);
         dev.dispatched.fetch_add(1, Ordering::Relaxed);
-        if direct {
-            shared.central.submitted.fetch_add(1, Ordering::Relaxed);
-        }
         dev.cv.notify_one();
-        adm_span.arg("outcome", "enqueued");
-        adm_span.arg("device", i as u64);
-        return true;
+        return Some(i);
     }
-    // Every queue at capacity: backpressure. Reclaim the responder from
-    // the unenqueued request so the caller gets the typed rejection rather
-    // than the sender-drop ShutDown.
-    let Request { responder, .. } = request.take().expect("request still in hand");
-    let depth: usize = shared
+    // Backpressure, delivered through the join so the caller gets the
+    // typed rejection.
+    let depth = shared
         .devices
         .iter()
         .map(|d| d.queue.lock_or_recover().len())
         .sum();
-    if responder.is_direct() {
-        shared
-            .central
-            .rejected_queue_full
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    adm_span.arg("outcome", "queue_full");
     let capacity = queue_capacity * shared.devices.len();
-    responder.send(Err(ServeError::Rejected(RejectReason::QueueFull {
+    request.finish(Err(ServeError::Rejected(RejectReason::QueueFull {
         depth,
         capacity,
     })));
-    false
+    None
 }
 
-/// The matrix-level half of the two-level scheduler: turns one submission
-/// against a sharded key into per-shard sub-requests placed by the
-/// ordinary least-loaded device dispatch, joined by a [`FanoutJoin`].
-///
-/// Admission is all-or-nothing *before* any queue slot is taken: shutdown,
-/// shape, and every shard's plan pre-flight are checked up front, so a
-/// rejected fan-out never leaves orphan sub-requests behind. After that,
-/// individual shards can still bounce on `QueueFull` or expire on
-/// deadline; those errors flow into the join and the parent resolves with
-/// the first failure in shard order (deterministic for a fixed trace).
-/// The parent counts once in `submitted` iff every sub-request enqueued.
-#[allow(clippy::too_many_arguments)]
-fn fan_out<T: Element>(
-    shared: &Arc<PoolShared<T>>,
-    plans: &Arc<PlanCache>,
-    queue_capacity: usize,
-    entry: &ShardedEntry<T>,
-    b: Dense<T>,
-    deadline: Option<Instant>,
-    enq: Instant,
-    parent_seq: u64,
-    tx: oneshot::Sender<Result<ServeResponse<T>, ServeError>>,
-) {
-    let mut span = smat_trace::span("fanout", "serve");
-    span.arg("seq", parent_seq);
-    span.arg("shards", entry.plan.nshards() as u64);
-    if shared.shutdown.load(Ordering::Acquire) {
-        span.arg("outcome", "shutdown");
-        tx.send(Err(ServeError::ShutDown));
-        return;
-    }
-    if b.nrows() != entry.plan.ncols {
-        span.arg("outcome", "shape_mismatch");
-        tx.send(Err(ServeError::ShapeMismatch {
-            expected_rows: entry.plan.ncols,
-            got_rows: b.nrows(),
-        }));
-        return;
-    }
-    for (i, smat) in entry.smats.iter().enumerate() {
-        let plan = plans.get_or_build(entry.keys[i], b.ncols(), smat);
-        if !plan.admissible {
-            shared
-                .central
-                .rejected_preflight
-                .fetch_add(1, Ordering::Relaxed);
-            span.arg("outcome", "preflight_rejected");
-            span.arg("shard", i as u64);
-            tx.send(Err(ServeError::Rejected(RejectReason::Preflight {
-                diagnostics: plan.diagnostics.as_ref().clone(),
-            })));
-            return;
-        }
-    }
-
-    let n = entry.plan.nshards();
-    shared.central.fanouts.fetch_add(1, Ordering::Relaxed);
-    shared
-        .central
-        .shard_subrequests
-        .fetch_add(n as u64, Ordering::Relaxed);
-    span.arg("outcome", "dispatched");
-    drop(span);
-    let join = make_join(shared, n, enq, parent_seq, tx);
-    // Sub-requests enqueue in shard order, drawing fresh seqs; least-
-    // loaded dispatch then spreads them round-robin from an idle pool
-    // (each enqueue bumps the chosen device's load before the next sort).
-    let mut all_enqueued = true;
-    for (i, smat) in entry.smats.iter().enumerate() {
-        let sub_seq = shared.central.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut sub_span = smat_trace::span("admission", "serve");
-        sub_span.arg("seq", sub_seq);
-        sub_span.arg("parent", parent_seq);
-        sub_span.arg("shard", i as u64);
-        all_enqueued &= admit_prepared(
-            shared,
-            plans,
-            queue_capacity,
-            entry.keys[i],
-            smat.clone(),
-            b.clone(),
-            deadline,
-            enq,
-            sub_seq,
-            Responder::Shard {
-                join: Arc::clone(&join),
-                shard: i,
-            },
-            &mut sub_span,
-        );
-    }
-    if all_enqueued {
-        shared.central.submitted.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Builds the join for one fan-out: the callback runs on whichever worker
-/// delivers the last shard, row-concatenates the partial products in shard
-/// order, settles the parent-level counters the sub-requests skipped, and
-/// resolves the submitter's future.
+/// Builds the join a submission completes through. The callback runs on
+/// whichever thread delivers the last part: the first failure in shard
+/// order fails the request, otherwise a one-part join passes its response
+/// through and several parts are row-concatenated in shard order. Either
+/// way the request-level counters (`completed`, `rejected_deadline`,
+/// `rejected_queue_full`, `failed`, latencies) settle here, once per
+/// submission, before the submitter's future resolves — sub-requests only
+/// feed the per-device and batching counters.
 fn make_join<T: Element>(
     shared: &Arc<PoolShared<T>>,
     n: usize,
     enq: Instant,
-    parent_seq: u64,
-    tx: oneshot::Sender<Result<ServeResponse<T>, ServeError>>,
-) -> Arc<FanoutJoin<Result<ServeResponse<T>, ServeError>>> {
+    seq: u64,
+    tx: oneshot::Sender<Outcome<T>>,
+) -> Arc<FanoutJoin<Outcome<T>>> {
     let shared = Arc::clone(shared);
     Arc::new(FanoutJoin::new(
         n,
         Box::new(move |parts| {
             let central = &shared.central;
-            let mut responses = Vec::with_capacity(parts.len());
-            for part in parts {
-                match part {
-                    Ok(r) => responses.push(r),
-                    Err(e) => {
-                        // First failure in shard order fails the parent,
-                        // with the request-level counter its sub-request
-                        // deliberately skipped.
-                        match &e {
-                            ServeError::Rejected(RejectReason::QueueFull { .. }) => {
-                                central.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                            }
-                            ServeError::Rejected(RejectReason::Deadline { .. }) => {
-                                central.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-                            }
-                            ServeError::Rejected(RejectReason::Preflight { .. }) => {
-                                central.rejected_preflight.fetch_add(1, Ordering::Relaxed);
-                            }
-                            ServeError::Sim(_) => {
-                                central.failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            _ => {}
-                        }
-                        tx.send(Err(e));
-                        return;
-                    }
+            let result = parts
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
+                .map(|responses| join_responses(responses, enq));
+            match &result {
+                Ok(resp) => {
+                    central.completed.fetch_add(1, Ordering::Relaxed);
+                    // POLICY (poisoning): recover. Append-only samples.
+                    central.latencies.lock_or_recover().push(resp.wall_ms);
+                }
+                Err(ServeError::Rejected(RejectReason::QueueFull { .. })) => {
+                    central.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(ServeError::Rejected(RejectReason::Deadline { .. })) => {
+                    central.rejected_deadline.fetch_add(1, Ordering::Relaxed);
+                }
+                // The only other error a sub-request can end in is a failed
+                // launch; pre-flight and shape are settled at admission.
+                Err(_) => {
+                    central.failed.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            // Exactness: shard products are whole-row slices of the
-            // unsharded product, so concatenation in shard order *is* the
-            // unsharded result, bitwise (see smat-shard's crate docs).
-            let c = Dense::vconcat(&responses.iter().map(|r| &r.c).collect::<Vec<_>>());
-            let wall_ms = enq.elapsed().as_secs_f64() * 1e3;
-            let resp = ServeResponse {
-                c,
-                device: responses[0].device,
-                batched_with: responses.iter().map(|r| r.batched_with).max().unwrap_or(1),
-                batch_cols: responses.iter().map(|r| r.batch_cols).max().unwrap_or(0),
-                sim_ms: responses.iter().map(|r| r.sim_ms).sum(),
-                wall_ms,
-                degraded: responses.iter().any(|r| r.degraded),
-                attempts: responses.iter().map(|r| r.attempts).max().unwrap_or(1),
-                // Sum of the shard predictions; `None` as soon as any
-                // shard lacked one (Option's `Sum` short-circuits).
-                predicted_ms: responses.iter().map(|r| r.predicted_ms).sum(),
-            };
-            central.completed.fetch_add(1, Ordering::Relaxed);
-            // POLICY (poisoning): recover. Append-only sample vector.
-            central.latencies.lock_or_recover().push(wall_ms);
-            smat_trace::complete_from(
-                "join",
-                "serve",
-                enq,
-                vec![("seq", parent_seq.into()), ("shards", (n as u64).into())],
-            );
-            tx.send(Ok(resp));
+            if n > 1 {
+                smat_trace::complete_from(
+                    "join",
+                    "serve",
+                    enq,
+                    vec![("seq", seq.into()), ("shards", (n as u64).into())],
+                );
+            }
+            tx.send(result);
         }),
     ))
+}
+
+/// One response from the shards' responses, in shard order.
+fn join_responses<T: Element>(mut parts: Vec<ServeResponse<T>>, enq: Instant) -> ServeResponse<T> {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    // Exactness: shard products are whole-row slices of the unsharded
+    // product, so concatenation in shard order *is* the unsharded result,
+    // bitwise (see smat-shard's crate docs).
+    ServeResponse {
+        c: Dense::vconcat(&parts.iter().map(|r| &r.c).collect::<Vec<_>>()),
+        device: parts[0].device,
+        batched_with: parts.iter().map(|r| r.batched_with).max().unwrap_or(1),
+        batch_cols: parts.iter().map(|r| r.batch_cols).max().unwrap_or(0),
+        sim_ms: parts.iter().map(|r| r.sim_ms).sum(),
+        wall_ms: enq.elapsed().as_secs_f64() * 1e3,
+        degraded: parts.iter().any(|r| r.degraded),
+        attempts: parts.iter().map(|r| r.attempts).max().unwrap_or(1),
+        // Sum of the shard predictions; `None` as soon as any shard lacked
+        // one (Option's `Sum` short-circuits).
+        predicted_ms: parts.iter().map(|r| r.predicted_ms).sum(),
+    }
 }
 
 fn worker_loop<T: Element>(shared: &PoolShared<T>, idx: usize) {
@@ -1534,18 +1425,14 @@ fn execute_batch<T: Element>(
     let expired_cols: usize = expired.iter().map(|r| r.b.ncols()).sum();
     dev.load_cols.fetch_sub(expired_cols, Ordering::Relaxed);
     for r in expired {
-        if r.responder.is_direct() {
-            central.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-        }
         let late_ms = now
             .duration_since(r.deadline.expect("expired"))
             .as_secs_f64()
             * 1e3;
         dev.completed.fetch_add(1, Ordering::Relaxed);
-        r.responder
-            .send(Err(ServeError::Rejected(RejectReason::Deadline {
-                late_ms,
-            })));
+        r.finish(Err(ServeError::Rejected(RejectReason::Deadline {
+            late_ms,
+        })));
     }
 
     if !live.is_empty() {
@@ -1613,10 +1500,6 @@ fn execute_batch<T: Element>(
                 central
                     .max_batch
                     .fetch_max(n_live as u64, Ordering::Relaxed);
-                // `completed` counts requests the caller sees: shard
-                // sub-results settle the parent's count in the join.
-                let n_direct = live.iter().filter(|r| r.responder.is_direct()).count() as u64;
-                central.completed.fetch_add(n_direct, Ordering::Relaxed);
                 // Cost-model feedback: grade the plan's prediction against
                 // the observed launch, then feed the observation back for
                 // online refit — predict *before* observe, so a launch
@@ -1655,28 +1538,8 @@ fn execute_batch<T: Element>(
                         predicted_ms = Some(pred);
                     }
                 }
-                // Latency samples land before any response is sent: a shard
-                // responder finishing a fan-out runs the join callback
-                // inline, which takes this same lock for the parent sample.
-                let stamped: Vec<(Request<T>, Dense<T>, f64)> = live
-                    .into_iter()
-                    .zip(out.cs)
-                    .map(|(r, c)| {
-                        let wall_ms = r.enq.elapsed().as_secs_f64() * 1e3;
-                        (r, c, wall_ms)
-                    })
-                    .collect();
-                {
-                    // POLICY (poisoning): recover. The sample vector is
-                    // append-only; a panic between pushes loses nothing.
-                    let mut latencies = central.latencies.lock_or_recover();
-                    for (r, _, wall_ms) in &stamped {
-                        if r.responder.is_direct() {
-                            latencies.push(*wall_ms);
-                        }
-                    }
-                }
-                for (r, c, wall_ms) in stamped {
+                for (r, c) in live.into_iter().zip(out.cs) {
+                    let wall_ms = r.enq.elapsed().as_secs_f64() * 1e3;
                     smat_trace::complete_from(
                         "complete",
                         "serve",
@@ -1684,7 +1547,7 @@ fn execute_batch<T: Element>(
                         vec![("seq", r.seq.into()), ("device", (out.exec as u64).into())],
                     );
                     dev.completed.fetch_add(1, Ordering::Relaxed);
-                    r.responder.send(Ok(ServeResponse {
+                    r.finish(Ok(ServeResponse {
                         c,
                         device: out.exec,
                         batched_with: n_live,
@@ -1699,11 +1562,8 @@ fn execute_batch<T: Element>(
             }
             Err(e) => {
                 for r in live {
-                    if r.responder.is_direct() {
-                        central.failed.fetch_add(1, Ordering::Relaxed);
-                    }
                     dev.completed.fetch_add(1, Ordering::Relaxed);
-                    r.responder.send(Err(ServeError::Sim(e.clone())));
+                    r.finish(Err(ServeError::Sim(e.clone())));
                 }
             }
         }
@@ -2155,22 +2015,13 @@ mod tests {
     }
 
     #[test]
-    fn mutations_on_sharded_unknown_or_out_of_bounds_are_rejected() {
-        let server: Server<F16> = Server::new(ServerConfig {
-            shard_max_bytes: Some(1),
-            ..ServerConfig::default()
-        });
+    fn mutations_on_unknown_or_out_of_bounds_cells_are_rejected() {
         let a = matrix(64, 0);
-        let sharded_key = server.register(&a);
         let up = MatrixUpdate::Update {
             row: 0,
             col: 0,
             value: F16::from_f64(1.0),
         };
-        assert!(matches!(
-            server.mutate(sharded_key, std::slice::from_ref(&up)),
-            Err(ServeError::MutationUnsupported)
-        ));
         let unsharded: Server<F16> = Server::new(ServerConfig::default());
         let key = unsharded.register(&a);
         let bogus = MatrixKey {

@@ -78,8 +78,8 @@ pub struct DeviceStats {
     /// toward zero even while every device was saturated whenever it was
     /// allowed to run.
     pub occupancy: f64,
-    /// Requests (direct and per-shard sub-requests alike) the matrix-level
-    /// scheduler enqueued to this device.
+    /// Sub-requests (one per shard of every admitted request) enqueued to
+    /// this device.
     pub dispatched: u64,
     /// Terminal responses this device's worker delivered for dispatched
     /// requests — success, failure, or deadline expiry. At quiescence
@@ -171,14 +171,14 @@ pub struct ServerStats {
     /// op count). Driven purely by the request stream — part of the
     /// deterministic counter group.
     pub mutations: u64,
-    /// Background compactions that published a fresh handle (mirrors
-    /// [`RegistryStats::compactions`]). Deterministic under drained replay:
+    /// Shard handles re-prepared by background compactions that published
+    /// (mirrors [`RegistryStats::compactions`]). Deterministic under drained replay:
     /// the compaction *decision* is a pure function of matrix content and
     /// the calibrated model, and the driver quiesces compactions at window
     /// boundaries.
     pub compactions: u64,
-    /// Sharded requests fanned out across the pool by the matrix-level
-    /// scheduler (each counts once in `submitted`/`completed`).
+    /// Requests against tenants of more than one shard, fanned out across
+    /// the pool (each counts once in `submitted`/`completed`).
     pub fanout_requests: u64,
     /// Per-shard sub-requests those fan-outs emitted (not counted in
     /// `submitted`; they surface per-device in [`DeviceStats::dispatched`]).

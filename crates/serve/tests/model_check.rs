@@ -8,7 +8,9 @@
 //! 2. the warm-prepare single-producer invariant (a foreground
 //!    `get_or_prepare` attaching to an in-flight warm prepare never
 //!    duplicates the prepare),
-//! 3. the circuit breaker's single-writer transition sequence.
+//! 3. the circuit breaker's single-writer transition sequence,
+//! 4. the worker wait loop against `Server::resume`: the resume wake-up
+//!    reaches a worker that tested `paused` just before it.
 //!
 //! Each clean protocol must be explored exhaustively within the preemption
 //! bound, or cap-bounded with the cap logged through the `C008` truncation
@@ -22,13 +24,15 @@
 //! loop of `Server::mutate` (apply → re-check current handle → retry onto
 //! the fresh one): no update is ever lost, the newest write wins over the
 //! rebase, and a reader never observes a torn (published-but-unfolded)
-//! handle. Two counterexamples close the suite: rebase-by-overwrite loses
-//! the newest write, and publish-before-fold is a torn read.
+//! handle — also for a two-shard tenant whose compaction swaps one shard
+//! while a mutator writes both. Two counterexamples close the suite:
+//! rebase-by-overwrite loses the newest write, and publish-before-fold is a
+//! torn read.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use smat_sanitize::sync::{AtomicU32, Mutex};
+use smat_sanitize::sync::{AtomicBool, AtomicU32, Condvar, Mutex};
 use smat_sanitize::{model, DiagCode, DiagnosticsExt, ModelConfig, ModelReport};
 use smat_serve::{CircuitBreaker, ParkSlot};
 
@@ -325,6 +329,73 @@ fn compaction_epoch_swap_loses_no_update_under_the_model() {
     assert!(report.schedules > 1, "{}", report.summary());
 }
 
+/// The two versions of a two-shard tenant that a compaction of shard 0
+/// moves between: version `v` serves shard `s` from
+/// `handles[TENANTS[v][s]]`. Shard 1 had nothing to fold, so both versions
+/// share its handle.
+const TENANTS: [[usize; 2]; 2] = [[0, 2], [1, 2]];
+
+/// `Server::mutate` for the part of a batch routed to `shard`: apply to the
+/// shard's handle in the published tenant, then re-check that handle —
+/// retrying onto the fresh one only if the compaction swapped this shard.
+fn model_mutate_shard(
+    handles: &[Arc<CellHandle>; 3],
+    published: &AtomicU32,
+    shard: usize,
+    value: u32,
+) {
+    let mut h = TENANTS[published.load(Ordering::SeqCst) as usize][shard];
+    loop {
+        handles[h].apply(value);
+        let cur = TENANTS[published.load(Ordering::SeqCst) as usize][shard];
+        if cur == h {
+            break;
+        }
+        h = cur;
+    }
+}
+
+#[test]
+fn compacting_one_shard_loses_no_update_to_either_shard_under_the_model() {
+    // A two-shard tenant whose shard 0 carries a correction: compaction
+    // re-prepares shard 0 only and publishes a tenant that keeps shard 1's
+    // handle. A mutator writes both shards twice, racing the swap. On
+    // every schedule both shards serve the newest write, and the clean
+    // shard's writes land exactly once (nothing retries them).
+    let cfg = ModelConfig {
+        max_schedules: 40_000,
+        ..ModelConfig::named("serve.epoch_swap_sharded")
+    };
+    let report = model::check(cfg, || {
+        let handles = [
+            Arc::new(CellHandle::new(3)),
+            Arc::new(CellHandle::new(0)),
+            Arc::new(CellHandle::new(4)),
+        ];
+        handles[0].apply(2);
+        let published = Arc::new(AtomicU32::new(0));
+        let (h1, p1) = (handles.clone(), Arc::clone(&published));
+        let mutator = model::spawn(move || {
+            for (v0, v1) in [(5, 6), (7, 8)] {
+                model_mutate_shard(&h1, &p1, 0, v0);
+                model_mutate_shard(&h1, &p1, 1, v1);
+            }
+        });
+        let (h2, p2) = (handles.clone(), Arc::clone(&published));
+        let compactor = model::spawn(move || {
+            model_compact(&h2[0], &h2[1], &p2);
+        });
+        mutator.join();
+        compactor.join();
+        let tenant = TENANTS[published.load(Ordering::SeqCst) as usize];
+        assert_eq!(handles[tenant[0]].value(), 7, "shard 0 lost a write");
+        assert_eq!(handles[tenant[1]].value(), 8, "shard 1 lost a write");
+        assert_eq!(handles[2].epoch.load(Ordering::SeqCst), 2);
+    });
+    assert_clean(&report);
+    assert!(report.schedules > 1, "{}", report.summary());
+}
+
 #[test]
 fn rebase_by_overwrite_loses_the_newest_write_and_the_model_proves_it() {
     // The counterexample behind insert-if-absent: if the rebase *overwrote*
@@ -442,6 +513,52 @@ fn a_second_breaker_writer_is_schedule_dependent_and_the_model_proves_it() {
             .codes()
             .contains(&DiagCode::ModelInvariantViolation),
         "expected the checker to find the lost-trip schedule: {report:?}"
+    );
+    assert!(!report.is_clean());
+}
+
+/// A worker's wait loop against `Server::resume`, reduced to one queued
+/// request: the worker tests "queue non-empty and not paused" under its
+/// queue lock and waits otherwise; the resumer clears `paused` and wakes
+/// it, taking the queue lock first iff `lock_before_notify`. The worker is
+/// not joined, so a wake-up it slept through shows as a lost wakeup.
+fn resume_protocol(lock_before_notify: bool) -> ModelReport {
+    model::check(ModelConfig::named("serve.resume"), move || {
+        let paused = Arc::new(AtomicBool::new(true));
+        let queue = Arc::new((Mutex::labeled("model.queue", 1u32), Condvar::new()));
+        let (p, q) = (Arc::clone(&paused), Arc::clone(&queue));
+        let worker = model::spawn(move || {
+            let (m, cv) = &*q;
+            let mut queued = m.lock_or_recover();
+            while *queued == 0 || p.load(Ordering::SeqCst) {
+                queued = cv.wait(queued);
+            }
+            *queued -= 1;
+        });
+        paused.store(false, Ordering::SeqCst);
+        let (m, cv) = &*queue;
+        if lock_before_notify {
+            drop(m.lock_or_recover());
+        }
+        cv.notify_all();
+        drop(worker);
+    })
+}
+
+#[test]
+fn resume_wakes_a_worker_that_just_saw_the_pause_under_the_model() {
+    assert_clean(&resume_protocol(true));
+}
+
+#[test]
+fn resume_without_the_queue_lock_loses_the_wakeup_and_the_model_proves_it() {
+    // The counterexample behind `Server::wake_workers`: notifying without
+    // the queue lock lands between the worker's `paused` test and its
+    // wait, and the worker sleeps forever with a request in its queue.
+    let report = resume_protocol(false);
+    assert!(
+        report.findings.codes().contains(&DiagCode::ModelLostWakeup),
+        "expected the checker to find the lost resume wake-up: {report:?}"
     );
     assert!(!report.is_clean());
 }

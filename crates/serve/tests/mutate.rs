@@ -21,7 +21,8 @@ use std::sync::{Arc, Barrier};
 use smat::{MatrixUpdate, Smat, SmatConfig};
 use smat_formats::{Coo, Csr, Dense, Element, MatrixFingerprint, F16};
 use smat_serve::{
-    block_on, CompactionPolicy, MatrixKey, PreparedMatrixRegistry, ServeError, Server, ServerConfig,
+    block_on, CompactionPolicy, MatrixKey, PreparedMatrixRegistry, ServeError, Server,
+    ServerConfig, Tenant,
 };
 
 fn matrix(n: usize, shift: usize) -> Csr<F16> {
@@ -105,7 +106,9 @@ fn eviction_during_compaction_keeps_the_pinned_handle_and_never_resurrects() {
     let a = matrix(96, 0);
     let key = key_of(&a, &cfg);
     let registry: Arc<PreparedMatrixRegistry<F16>> = Arc::new(PreparedMatrixRegistry::new(4));
-    registry.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+    registry.get_or_prepare(key, || {
+        Tenant::unsharded(key, Smat::prepare(&a, cfg.clone()))
+    });
     registry
         .peek(&key)
         .unwrap()
@@ -162,7 +165,9 @@ fn a_compaction_killed_mid_flight_leaves_the_old_epoch_serving_byte_identically(
     let a = matrix(96, 3);
     let key = key_of(&a, &cfg);
     let registry: Arc<PreparedMatrixRegistry<F16>> = Arc::new(PreparedMatrixRegistry::new(4));
-    registry.get_or_prepare(key, || Smat::prepare(&a, cfg.clone()));
+    registry.get_or_prepare(key, || {
+        Tenant::unsharded(key, Smat::prepare(&a, cfg.clone()))
+    });
     let handle = registry.peek(&key).unwrap();
     handle.apply_updates(&[
         MatrixUpdate::Update {

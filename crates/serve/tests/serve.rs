@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use smat::{OverlaySnapshot, Smat, SmatConfig};
 use smat_formats::{Coo, Csr, Dense, Element, MatrixFingerprint, F16};
 use smat_gpusim::Gpu;
-use smat_serve::{spmm_batched, MatrixKey, PreparedMatrixRegistry, Server, ServerConfig};
+use smat_serve::{spmm_batched, MatrixKey, PreparedMatrixRegistry, Server, ServerConfig, Tenant};
 
 fn matrix(n: usize, shift: usize) -> Csr<F16> {
     let mut coo = Coo::new(n, n);
@@ -56,11 +56,11 @@ fn racing_get_or_prepare_runs_prepare_exactly_once() {
             );
             std::thread::spawn(move || {
                 barrier.wait(); // maximize the race window
-                let (smat, _) = registry.get_or_prepare(key, || {
+                let (tenant, _) = registry.get_or_prepare(key, || {
                     runs.fetch_add(1, Ordering::SeqCst);
-                    Smat::prepare(&a, cfg)
+                    Tenant::unsharded(key, Smat::prepare(&a, cfg))
                 });
-                smat
+                tenant.shards()[0].clone()
             })
         })
         .collect();
@@ -94,7 +94,9 @@ fn racing_prepares_of_distinct_matrices_do_not_serialize_lookups() {
         let (registry, cfg, barrier) = (Arc::clone(&registry), cfg.clone(), Arc::clone(&barrier));
         std::thread::spawn(move || {
             barrier.wait();
-            registry.get_or_prepare(key, || Smat::prepare(&a, cfg)).0
+            registry
+                .get_or_prepare(key, || Tenant::unsharded(key, Smat::prepare(&a, cfg)))
+                .0
         })
     };
     let h0 = spawn(k0, Arc::clone(&a0));
@@ -112,12 +114,14 @@ fn lru_eviction_follows_access_recency_exactly() {
     let keys: Vec<MatrixKey> = mats.iter().map(|a| key_of(a, &cfg)).collect();
     let registry: PreparedMatrixRegistry<F16> = PreparedMatrixRegistry::new(3);
     for (k, a) in keys.iter().zip(&mats).take(3) {
-        registry.get_or_prepare(*k, || Smat::prepare(a, cfg.clone()));
+        registry.get_or_prepare(*k, || Tenant::unsharded(*k, Smat::prepare(a, cfg.clone())));
     }
     // Recency now 0 < 1 < 2. Touch 0 and 1; 2 becomes the victim.
     assert!(registry.get(&keys[0]).is_some());
     assert!(registry.get(&keys[1]).is_some());
-    registry.get_or_prepare(keys[3], || Smat::prepare(&mats[3], cfg.clone()));
+    registry.get_or_prepare(keys[3], || {
+        Tenant::unsharded(keys[3], Smat::prepare(&mats[3], cfg.clone()))
+    });
     assert!(registry.get(&keys[2]).is_none(), "stalest entry evicted");
     for &i in &[0usize, 1, 3] {
         assert!(registry.get(&keys[i]).is_some(), "key {i} must survive");

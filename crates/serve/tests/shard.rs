@@ -1,10 +1,13 @@
-//! Integration tests of the two-level scheduler: sharded registration,
-//! fan-out/join serving, placement, warm-prepare parking, and chaos
+//! Integration tests of sharded tenants: registration, fan-out/join
+//! serving, placement, registry capacity, warm-prepare parking, and chaos
 //! recovery with replay determinism.
 
-use smat_formats::{Csr, Dense, Element, F16};
+use smat::MatrixUpdate;
+use smat_formats::{Coo, Csr, Dense, Element, F16};
 use smat_gpusim::FaultConfig;
-use smat_serve::{block_on, ChaosStats, RecoveryPolicy, Server, ServerConfig, ServerStats};
+use smat_serve::{
+    block_on, ChaosStats, CompactionPolicy, RecoveryPolicy, Server, ServerConfig, ServerStats,
+};
 use smat_shard::estimated_csr_bytes;
 use smat_workloads::random_uniform;
 
@@ -72,7 +75,7 @@ fn sharded_serving_is_bitwise_identical_across_three_devices() {
 }
 
 #[test]
-fn small_matrices_bypass_the_shard_table() {
+fn small_matrices_stay_one_shard() {
     let a: Csr<F16> = random_uniform(64, 64, 0.9, 3);
     let server: Server<F16> = Server::new(ServerConfig {
         devices: 2,
@@ -90,6 +93,93 @@ fn small_matrices_bypass_the_shard_table() {
     assert_eq!(stats.fanout_requests, 0);
     assert_eq!(stats.shard_subrequests, 0);
     assert_eq!(stats.submitted, 1);
+}
+
+#[test]
+fn sharded_tenants_count_against_the_registry_capacity() {
+    // Each registry line is one tenant, however many shards it has: three
+    // 3-shard tenants in a 2-line registry evict the oldest, which then
+    // reports UnknownMatrix like any evicted unsharded tenant.
+    let (operands, budgets): (Vec<_>, Vec<_>) =
+        (31..34).map(|seed| sharded_operand(3, seed)).unzip();
+    let server: Server<F16> = Server::new(ServerConfig {
+        devices: 3,
+        registry_capacity: 2,
+        shard_max_bytes: budgets.into_iter().max(),
+        ..ServerConfig::default()
+    });
+    let keys: Vec<_> = operands.iter().map(|a| server.register(a)).collect();
+    let stats = server.stats().registry;
+    assert_eq!((stats.entries, stats.evictions), (2, 1));
+    assert_eq!(stats.prepares, 9, "one prepare per shard");
+    assert!(
+        server.shard_plan(&keys[0]).is_none(),
+        "oldest tenant evicted"
+    );
+    assert!(matches!(
+        block_on(server.submit(keys[0], rhs(128, 8, 0))),
+        Err(smat_serve::ServeError::UnknownMatrix)
+    ));
+    for (a, key) in operands.iter().zip(&keys).skip(1) {
+        assert_eq!(server.shard_plan(key).expect("resident").nshards(), 3);
+        let b = rhs(128, 8, 1);
+        let resp = block_on(server.submit(*key, b.clone())).expect("served");
+        assert_eq!(resp.c, a.spmm_reference(&b));
+    }
+}
+
+#[test]
+fn identical_row_slices_mutated_apart_never_share_a_batch() {
+    // [M; M] splits into two shards with identical content. Each shard is
+    // its own mutable handle, so after one different update per shard both
+    // sit at epoch 1 with different overlays. On one device every
+    // sub-request lands in the same queue; were the shard keys equal, the
+    // batcher would group both halves under one (key, epoch) and compute
+    // the second half with the first half's overlay.
+    let m: Csr<F16> = random_uniform(64, 64, 0.85, 5);
+    let m = m.to_dense();
+    let a = Csr::from_dense(&Dense::from_fn(128, 64, |i, j| m.get(i % 64, j)));
+    let server: Server<F16> = Server::new(ServerConfig {
+        devices: 1,
+        shard_max_bytes: Some(estimated_csr_bytes(&a).div_ceil(2)),
+        compaction: CompactionPolicy {
+            auto: false,
+            ..CompactionPolicy::default()
+        },
+        ..ServerConfig::default()
+    });
+    let key = server.register(&a);
+    let plan = server.shard_plan(&key).expect("key registered as sharded");
+    assert_eq!(plan.nshards(), 2);
+    assert_eq!(
+        plan.shards[0].row_end, 64,
+        "the halves are identical slices"
+    );
+
+    let overrides = [(3, 5, 4.0), (64 + 9, 1, -2.0)];
+    for &(row, col, value) in &overrides {
+        let op = MatrixUpdate::Update {
+            row,
+            col,
+            value: F16::from_f64(value),
+        };
+        server.mutate(key, &[op]).expect("in bounds");
+    }
+    let merged = Coo::with_overrides(&a, &overrides).to_csr();
+
+    server.pause();
+    let futs: Vec<_> = (0..4)
+        .map(|i| {
+            let b = rhs(64, 8, i);
+            let want = merged.spmm_reference(&b);
+            (server.submit(key, b), want)
+        })
+        .collect();
+    server.resume();
+    for (fut, want) in futs {
+        let resp = block_on(fut).expect("served");
+        assert_eq!(resp.c, want, "each half must compute on its own overlay");
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@ use std::sync::{Arc, Barrier};
 use smat::Smat;
 use smat_formats::{Coo, Csr, Dense, Element, MatrixFingerprint, F16};
 use smat_gpusim::FaultConfig;
-use smat_serve::{block_on, AdmissionState, MatrixKey, Server, ServerConfig};
+use smat_serve::{block_on, AdmissionState, MatrixKey, Server, ServerConfig, Tenant};
 
 fn matrix(n: usize, shift: usize) -> Csr<F16> {
     let mut coo = Coo::new(n, n);
@@ -61,7 +61,7 @@ fn requests_submitted_mid_warm_prepare_park_and_share_one_handle() {
     let (g, a2, cfg) = (Arc::clone(&gate), a.clone(), config.smat.clone());
     assert!(server.registry().warm_prepare(key, move || {
         g.wait();
-        Smat::prepare(&a2, cfg)
+        Tenant::unsharded(key, Smat::prepare(&a2, cfg))
     }));
     assert_eq!(
         server.registry().admission_state(&key),
@@ -92,7 +92,7 @@ fn requests_submitted_mid_warm_prepare_park_and_share_one_handle() {
     // Every parked request was served from the one resident handle.
     let h1 = server.registry().wait_ready(&key).expect("resident");
     let h2 = server.registry().wait_ready(&key).expect("resident");
-    assert!(std::ptr::eq(h1.bcsr(), h2.bcsr()), "one shared handle");
+    assert!(h1.shards()[0].ptr_eq(&h2.shards()[0]), "one shared handle");
 }
 
 #[test]

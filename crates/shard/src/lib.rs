@@ -1,13 +1,12 @@
-//! `smat-shard`: 1D row partitioning and cooperative multi-device SpMM.
+//! `smat-shard`: 1D row partitioning and the fan-out/join completion
+//! protocol.
 //!
 //! Everything below this crate dispatches a whole prepared matrix to one
 //! simulated device. This crate decomposes a CSR operand into
-//! device-sized, nnz-balanced **row shards** ([`partition()`]), runs the
-//! existing prepare pipeline per shard ([`ShardedSmat::prepare`]) so each
-//! shard carries its own reordering, fingerprint, and plan-cache line, and
-//! fans one SpMM request out across a device pool
-//! ([`ShardedSmat::try_spmm_on_pool`]), joining the partial products by row
-//! concatenation.
+//! device-sized, nnz-balanced **row shards** ([`partition()`]); the serving
+//! tier (`smat-serve`) prepares each shard through the ordinary pipeline,
+//! so each shard carries its own reordering, fingerprint, and plan-cache
+//! line, and fans one request out across its device pool.
 //!
 //! Row partitioning is the exactness trick: every nonzero of row `i` lives
 //! in exactly one shard, so shard `s`'s product is precisely rows
@@ -20,13 +19,10 @@
 //! The [`FanoutJoin`] completion protocol is the concurrent core: it
 //! tracks outstanding shards behind a checked `smat-sanitize` mutex, makes
 //! duplicate completions (a hedge racing the original) idempotent, and
-//! fires the join callback exactly once, outside the lock. The serving
-//! tier reuses it for its two-level scheduler.
+//! fires the join callback exactly once, outside the lock.
 
-pub mod executor;
 pub mod join;
 pub mod partition;
 
-pub use executor::ShardedSmat;
 pub use join::FanoutJoin;
 pub use partition::{estimated_csr_bytes, partition, ShardDescriptor, ShardPlan, ShardPolicy};

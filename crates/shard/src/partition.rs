@@ -70,6 +70,25 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
+    /// The one-shard plan of an `nrows × ncols` matrix with `nnz` nonzeros:
+    /// the whole matrix, unsplit.
+    pub fn single<T: Element>(nrows: usize, ncols: usize, nnz: usize) -> Self {
+        let est_bytes = range_bytes::<T>(nrows, nnz);
+        ShardPlan {
+            nrows,
+            ncols,
+            nnz,
+            est_bytes,
+            shards: vec![ShardDescriptor {
+                index: 0,
+                row_start: 0,
+                row_end: nrows,
+                nnz,
+                est_bytes,
+            }],
+        }
+    }
+
     /// Number of shards.
     pub fn nshards(&self) -> usize {
         self.shards.len()
@@ -91,7 +110,7 @@ impl ShardPlan {
 /// nonzero plus the row-pointer array. The simulator charges index
 /// traffic at `usize` width, so the estimate uses the same.
 pub fn estimated_csr_bytes<T: Element>(a: &Csr<T>) -> usize {
-    a.nnz() * (size_of::<T>() + size_of::<usize>()) + (a.nrows() + 1) * size_of::<usize>()
+    range_bytes::<T>(a.nrows(), a.nnz())
 }
 
 fn range_bytes<T: Element>(nrows: usize, nnz: usize) -> usize {
@@ -115,12 +134,15 @@ pub fn partition<T: Element>(a: &Csr<T>, policy: &ShardPolicy) -> ShardPlan {
     };
     let nshards = want.min(a.nrows().max(1));
     let total_nnz = a.nnz();
+    if nshards == 1 {
+        return ShardPlan::single::<T>(a.nrows(), a.ncols(), total_nnz);
+    }
 
     let mut shards = Vec::with_capacity(nshards);
     let mut start = 0usize;
     let mut cum = 0usize;
     for s in 0..nshards {
-        let end = if s + 1 == nshards || a.nrows() == 0 {
+        let end = if s + 1 == nshards {
             // The last shard absorbs everything left, including trailing
             // empty rows the nnz walk would otherwise never reach.
             a.nrows()

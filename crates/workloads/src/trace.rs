@@ -54,9 +54,7 @@ pub struct TraceSpec {
     pub large_matrices: usize,
     /// Expected mutations per request (see [`mutation_trace`]). `0.0` (the
     /// default) generates a static trace; `0.1` interleaves roughly one
-    /// cell mutation per ten requests. Mutations only target small
-    /// (unsharded) tenants — the serving engine rejects mutation of
-    /// sharded registrations.
+    /// cell mutation per ten requests, over small and large tenants alike.
     pub mutate_rate: f64,
 }
 
@@ -80,7 +78,7 @@ impl Default for TraceSpec {
 pub struct TraceMutation {
     /// The request position this mutation lands in front of.
     pub seq: usize,
-    /// Index of the target matrix (always a small/unsharded tenant).
+    /// Index of the target matrix.
     pub matrix: usize,
     /// Target row (within the matrix's dimensions as supplied to
     /// [`mutation_trace`]).
@@ -176,17 +174,17 @@ pub fn serve_trace(spec: &TraceSpec) -> Vec<TraceRequest> {
 /// Generates the mutation schedule of a dynamic trace: for each request
 /// position an independent Bernoulli draw at [`TraceSpec::mutate_rate`]
 /// emits one cell mutation to apply before that request. Targets are drawn
-/// Zipf-style over the *small* tenants only (`dims[k]` gives tenant `k`'s
-/// `(nrows, ncols)`); roughly one in five mutations is a deletion, the
-/// rest upsert small-integer values, so replays stay bit-exact in every
+/// Zipf-style over the tenants' popularity ranks (`dims[k]` gives tenant
+/// `k`'s `(nrows, ncols)`), so the hottest tenant — large whenever any is —
+/// mutates most; roughly one in five mutations is a deletion, the rest
+/// upsert small-integer values, so replays stay bit-exact in every
 /// precision.
 ///
 /// A separate RNG stream (seed ⊕ a fixed tweak) keeps the request trace
 /// byte-identical whether or not mutations are enabled — the dynamic trace
 /// is the static trace plus a schedule, not a different trace.
 ///
-/// Returns an empty schedule when the rate is zero or every tenant is
-/// large.
+/// Returns an empty schedule when the rate is zero.
 ///
 /// # Panics
 /// Panics if `dims` has fewer entries than `spec.n_matrices`.
@@ -200,12 +198,7 @@ pub fn mutation_trace(spec: &TraceSpec, dims: &[(usize, usize)]) -> Vec<TraceMut
     if spec.mutate_rate <= 0.0 {
         return Vec::new();
     }
-    let large = large_ranks(spec.n_matrices, spec.large_matrices);
-    let small: Vec<usize> = (0..spec.n_matrices).filter(|&k| !large[k]).collect();
-    if small.is_empty() {
-        return Vec::new();
-    }
-    let weights: Vec<f64> = (0..small.len())
+    let weights: Vec<f64> = (0..spec.n_matrices)
         .map(|k| 1.0 / ((k + 1) as f64).powf(spec.zipf_s))
         .collect();
     let total: f64 = weights.iter().sum();
@@ -216,7 +209,7 @@ pub fn mutation_trace(spec: &TraceSpec, dims: &[(usize, usize)]) -> Vec<TraceMut
             continue;
         }
         let mut p = rng.gen::<f64>() * total;
-        let mut pick = small.len() - 1;
+        let mut pick = spec.n_matrices - 1;
         for (k, w) in weights.iter().enumerate() {
             if p < *w {
                 pick = k;
@@ -224,7 +217,7 @@ pub fn mutation_trace(spec: &TraceSpec, dims: &[(usize, usize)]) -> Vec<TraceMut
             }
             p -= *w;
         }
-        let matrix = small[pick];
+        let matrix = pick;
         let (nrows, ncols) = dims[matrix];
         let delete = rng.gen::<f64>() < 0.2;
         // Small nonzero integers: exact in f16/bf16/f32/f64 alike.
@@ -365,24 +358,39 @@ mod tests {
     }
 
     #[test]
-    fn mutations_avoid_large_tenants() {
+    fn mutations_reach_large_tenants_within_their_dimensions() {
         let spec = TraceSpec {
             requests: 400,
             large_matrices: 2,
             mutate_rate: 0.5,
             ..TraceSpec::default()
         };
-        let dims = vec![(64, 64); 4];
+        // Ranks 0 and 2 are large (stride 2) and twice the dimension.
+        let dims = vec![(128, 128), (64, 64), (128, 128), (64, 64)];
         let muts = mutation_trace(&spec, &dims);
-        assert!(!muts.is_empty());
-        // Ranks 0 and 2 are large (stride 2): only 1 and 3 may mutate.
-        assert!(muts.iter().all(|m| m.matrix == 1 || m.matrix == 3));
-        // All tenants large: nothing to mutate.
-        let all_large = TraceSpec {
-            large_matrices: 4,
-            ..spec
+        for k in 0..4 {
+            assert!(
+                muts.iter().any(|m| m.matrix == k),
+                "tenant {k} never mutated"
+            );
+        }
+        assert!(
+            muts.iter().any(|m| m.row >= 64),
+            "large tenants use their rows"
+        );
+        for m in &muts {
+            assert!(m.row < dims[m.matrix].0 && m.col < dims[m.matrix].1);
+        }
+        // Which tenants are large only shows through their dimensions.
+        let uniform = vec![(64, 64); 4];
+        let small = TraceSpec {
+            large_matrices: 0,
+            ..spec.clone()
         };
-        assert!(mutation_trace(&all_large, &dims).is_empty());
+        assert_eq!(
+            mutation_trace(&small, &uniform),
+            mutation_trace(&spec, &uniform)
+        );
     }
 
     #[test]

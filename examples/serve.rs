@@ -33,8 +33,9 @@
 //! configurations preserve exactness.
 //!
 //! `--mutate-rate R` makes the matrices dynamic: a deterministic mutation
-//! schedule (expected `R` cell updates per request, Zipf-targeted at the
-//! small tenants) is interleaved with the request windows. Each window
+//! schedule (expected `R` cell updates per request, Zipf-targeted over
+//! every tenant, sharded ones included) is interleaved with the request
+//! windows. Each window
 //! applies its mutations through [`Server::mutate`] and quiesces any
 //! background compaction before submitting, so epoch swaps land at
 //! deterministic trace positions and the double-replay check covers the
@@ -63,7 +64,6 @@ use smat_repro::serve::{
     AdmissionState, Calibration, ChaosStats, MatrixKey, MatrixUpdate, PlanDecision, PlanSpace,
     Planner, ServeError, Server, ServerConfig, ServerStats,
 };
-use smat_repro::shard::estimated_csr_bytes;
 use smat_repro::smat::{Smat, SmatConfig};
 use smat_repro::workloads::{
     calibration_bands, mutation_trace, random_uniform, serve_trace, TraceMutation, TraceRequest,
@@ -358,13 +358,6 @@ struct Replay {
     plan_rel_max: f64,
 }
 
-/// One full replay on a fresh server: register, submit in pause/resume
-/// windows (so backpressure, device assignment, and batch composition are
-/// reproducible), verify each response against an unbatched run.
-///
-/// `references` are prepared *outside* the server (same `SmatConfig`), so
-/// verification of sharded tenants — whose parent keys never enter the
-/// registry — neither misses the registry nor perturbs its counters.
 /// Converts a scheduled trace mutation into the serving-layer update op.
 fn to_update(m: &TraceMutation) -> MatrixUpdate<F16> {
     if m.delete {
@@ -381,6 +374,13 @@ fn to_update(m: &TraceMutation) -> MatrixUpdate<F16> {
     }
 }
 
+/// One full replay on a fresh server: register, submit in pause/resume
+/// windows (so backpressure, device assignment, and batch composition are
+/// reproducible), verify each response against an unbatched run.
+///
+/// `references` are whole-matrix handles prepared *outside* the server
+/// (same `SmatConfig`), so verification never perturbs the registry's
+/// counters and checks sharded tenants against the unsharded product.
 fn replay(
     args: &Args,
     matrices: &[Csr<F16>],
@@ -390,21 +390,11 @@ fn replay(
     plan_cal: Option<Calibration>,
     verify: bool,
 ) -> Replay {
-    // Shards of large tenants occupy registry lines of their own; size the
-    // capacity for parents plus the worst-case shard count so sharded
-    // admission never evicts a small tenant's entry mid-trace.
-    let shard_lines: usize = if args.shard_max_bytes > 0 {
-        matrices
-            .iter()
-            .map(|a| estimated_csr_bytes(a).div_ceil(args.shard_max_bytes).max(1))
-            .sum()
-    } else {
-        0
-    };
     let server: Server<F16> = Server::new(ServerConfig {
         devices: args.devices,
         column_budget: args.budget,
-        registry_capacity: args.matrices.max(2) + shard_lines,
+        // One line per tenant, sharded or not.
+        registry_capacity: args.matrices.max(2),
         chaos: args
             .chaos_seed
             .map(|seed| FaultConfig::blended(seed, args.fault_rate)),
@@ -429,12 +419,9 @@ fn replay(
         // this thread only pays the fingerprint pass. The readiness spin is
         // counter-neutral (unlike `wait_ready`) so the deterministic
         // summary's registry counters stay comparable across replays.
-        // Sharded tenants publish on the shard table, not the registry.
         let keys: Vec<MatrixKey> = matrices.iter().map(|a| server.warm_prepare(a)).collect();
         for k in &keys {
-            while server.registry().admission_state(k) != AdmissionState::Ready
-                && server.shard_plan(k).is_none()
-            {
+            while server.registry().admission_state(k) != AdmissionState::Ready {
                 std::thread::yield_now();
             }
         }
@@ -638,8 +625,7 @@ fn main() -> ExitCode {
     });
     // Out-of-band reference handles for bitwise verification: prepared with
     // the server's exact per-tenant config, but never touching its registry
-    // (sharded parent keys have no registry entry, and `get` would count
-    // misses).
+    // (`get` would count hits).
     let references: Vec<Smat<F16>> = matrices
         .iter()
         .enumerate()

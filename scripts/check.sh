@@ -99,6 +99,25 @@ print(f"shard smoke OK: {rec['fanout_requests']} fan-outs -> "
       f"0 mismatches, deterministic, lock-order clean")
 PY
 
+echo "==> sharded-mutation smoke: writes routed to row shards, bitwise-verified, deterministic"
+# The same sharded replay with a mutation schedule over every tenant: each
+# update lands in the overlay of the shard owning its row, and every
+# fanned-out response must still match a whole-matrix reference mutated in
+# lockstep.
+shard_mutate_json="$(./target/release/examples/serve --requests 128 --devices 3 \
+    --shard-max-bytes 20000 --large-matrices 2 --mutate-rate 0.5 --sanitize 2>/dev/null)"
+python3 - "$shard_mutate_json" <<'PY'
+import json, sys
+rec = json.loads(sys.argv[1])
+assert rec["mismatches"] == 0, "a sharded response diverged from its mutated reference"
+assert rec["runs_identical"] is True, "sharded mutating replay not deterministic"
+assert rec["fanout_requests"] > 0, "no request actually fanned out"
+assert rec["mutations_applied"] > 0, "mutation schedule was empty"
+assert rec["sanitize_findings"] == 0, f"C-codes fired: {rec['sanitize_codes']}"
+print(f"sharded-mutation smoke OK: {rec['mutations_applied']} mutations over "
+      f"{rec['fanout_requests']} fan-outs, 0 mismatches, deterministic, lock-order clean")
+PY
+
 echo "==> plan smoke: planned replay bitwise-verified, predictions graded, sanitize-clean"
 # --plan routes every registration through the cost-model-driven admission
 # planner; the example verifies planned serving bitwise against references

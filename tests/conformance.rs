@@ -18,11 +18,11 @@ use std::collections::BTreeMap;
 
 use smat::{Calibration, MatrixFormat, MatrixUpdate, PlanSpace, Planner};
 use smat_formats::{Bcsr, Coo, Csc, Csr, Dense, Element, Ell, PackedBcsr, SrBcrs, F16};
-use smat_gpusim::{DeviceConfig, Gpu};
 use smat_reorder::ReorderAlgorithm;
 use smat_repro::prelude::*;
+use smat_repro::serve::{CompactionPolicy, Server, ServerConfig};
 use smat_repro::workloads;
-use smat_shard::{estimated_csr_bytes, ShardPolicy, ShardedSmat};
+use smat_shard::estimated_csr_bytes;
 
 /// Naive dense oracle: expand `A` to dense and run the textbook triple loop
 /// with f64 accumulation over the *full* inner dimension (zeros included),
@@ -353,32 +353,34 @@ fn narrow_accumulation_is_ulp_bounded_against_the_oracle() {
 #[test]
 fn sharded_execution_conforms_for_every_reordering_and_shard_count() {
     // Row partitioning composes with any per-shard pipeline: each shard
-    // reorders and packs independently, and the row-concatenated join must
-    // still agree bitwise with the dense oracle. The awkward matrix puts
-    // empty rows and ragged row lengths on both sides of shard boundaries.
+    // reorders and packs independently, and the server's row-concatenated
+    // join over a 3-device pool must still agree bitwise with the dense
+    // oracle. The awkward matrix puts empty rows and ragged row lengths on
+    // both sides of shard boundaries.
     let a = awkward_matrix();
     let b = rhs(a.ncols(), 9);
     let want = dense_oracle(&a, &b);
-    let gpus = Gpu::pool(DeviceConfig::a100_sxm4_40gb(), 3);
-    for alg in all_reorderings() {
-        for target in [2usize, 3, 5] {
-            let policy = ShardPolicy {
-                max_bytes: estimated_csr_bytes(&a).div_ceil(target),
-            };
+    for target in [2usize, 3, 5] {
+        let server: Server<F16> = Server::new(ServerConfig {
+            devices: 3,
+            registry_capacity: all_reorderings().len(),
+            shard_max_bytes: Some(estimated_csr_bytes(&a).div_ceil(target)),
+            ..ServerConfig::default()
+        });
+        for alg in all_reorderings() {
             let cfg = SmatConfig {
                 reorder: alg,
                 ..SmatConfig::default()
             };
-            let sharded = ShardedSmat::prepare(&a, cfg, &policy);
-            let got = sharded.try_spmm_on_pool(&gpus, &b).expect("pool run");
-            assert_eq!(
-                got,
-                want,
-                "reorder {}, {} shards",
-                alg.name(),
-                sharded.plan().nshards()
-            );
+            let key = server.register_with_config(&a, cfg);
+            let plan = server.shard_plan(&key).expect("registered as sharded");
+            assert_eq!(plan.nshards(), target, "reorder {}", alg.name());
+            let got = server.submit(key, b.clone()).wait().expect("served");
+            assert_eq!(got.c, want, "reorder {}, {target} shards", alg.name());
         }
+        let stats = server.stats();
+        assert_eq!(stats.fanout_requests, all_reorderings().len() as u64);
+        assert_eq!(stats.registry.evictions, 0);
     }
 }
 
@@ -426,6 +428,99 @@ fn mutation_script() -> Vec<MatrixUpdate<F16>> {
             value: v(-1.0),
         },
     ]
+}
+
+#[test]
+fn mutated_sharded_tenants_conform_at_every_epoch_and_after_compaction() {
+    // The mutation script through `Server::mutate` on a 3-shard tenant,
+    // plus cells on both sides of every shard boundary: each update routes
+    // to the shard owning its row, and after every step the fanned-out
+    // response must equal the dense oracle on the override merge. Then one
+    // batch spanning every shard, and an explicit compaction that folds
+    // each shard's overlay into a fresh base — still bitwise.
+    let a = awkward_matrix();
+    let b = rhs(a.ncols(), 9);
+    let server: Server<F16> = Server::new(ServerConfig {
+        devices: 3,
+        shard_max_bytes: Some(estimated_csr_bytes(&a).div_ceil(3)),
+        compaction: CompactionPolicy {
+            auto: false,
+            ..CompactionPolicy::default()
+        },
+        ..ServerConfig::default()
+    });
+    let key = server.register(&a);
+    let plan = server.shard_plan(&key).expect("registered as sharded");
+    assert_eq!(plan.nshards(), 3);
+    let v = F16::from_f64;
+    let mut script = mutation_script();
+    let mut spanning = Vec::new();
+    for d in &plan.shards[1..] {
+        let (above, below) = (d.row_start - 1, d.row_start);
+        script.push(MatrixUpdate::Insert {
+            row: above,
+            col: 76,
+            value: v(2.0),
+        });
+        script.push(MatrixUpdate::Update {
+            row: below,
+            col: 76,
+            value: v(-1.0),
+        });
+        script.push(MatrixUpdate::Delete {
+            row: below,
+            col: below * 3 % 72,
+        });
+        spanning.push(MatrixUpdate::Update {
+            row: above,
+            col: above * 3 % 72,
+            value: v(3.0),
+        });
+        spanning.push(MatrixUpdate::Delete {
+            row: above,
+            col: 76,
+        });
+    }
+    spanning.push(MatrixUpdate::Insert {
+        row: 0,
+        col: 79,
+        value: v(-2.0),
+    });
+
+    let mut cells: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+    let check = |cells: &BTreeMap<(usize, usize), f64>, what: &str| {
+        let overrides: Vec<(usize, usize, f64)> =
+            cells.iter().map(|(&(r, c), &v)| (r, c, v)).collect();
+        let want = dense_oracle(&Coo::with_overrides(&a, &overrides).to_csr(), &b);
+        let got = server.submit(key, b.clone()).wait().expect("served");
+        assert_eq!(got.c, want, "{what}");
+    };
+    for (step, op) in script.iter().enumerate() {
+        let epoch = server.mutate(key, std::slice::from_ref(op)).unwrap();
+        assert_eq!(epoch, (step + 1) as u64, "one epoch per update");
+        cells.insert(op.cell(), op.value_f64());
+        check(&cells, &format!("step {step} ({op:?})"));
+    }
+    let epoch = server.mutate(key, &spanning).unwrap();
+    assert_eq!(epoch, (script.len() + spanning.len()) as u64);
+    for op in &spanning {
+        cells.insert(op.cell(), op.value_f64());
+    }
+    check(&cells, "batch spanning every shard");
+
+    assert!(server.compact(key), "every shard carries corrections");
+    server.quiesce_compactions();
+    assert_eq!(server.stats().compactions, 3, "one fold per shard");
+    let tenant = server.registry().peek_tenant(&key).expect("resident");
+    for shard in tenant.shards() {
+        assert_eq!(shard.overlay_snapshot().correction_terms(), 0);
+    }
+    check(&cells, "after compaction");
+    assert_eq!(
+        server.mutate(key, &[]).unwrap(),
+        epoch,
+        "the fold keeps epochs"
+    );
 }
 
 #[test]
