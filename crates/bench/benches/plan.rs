@@ -5,7 +5,8 @@
 //! Two kinds of output per matrix:
 //!
 //! * deterministic `plan_sim/<name>: ...` lines with the simulated kernel
-//!   milliseconds of both arms and the planner's prediction — these are
+//!   milliseconds of both arms, the planner's prediction and the planned
+//!   configuration (its index format follows the mode) — these are
 //!   what `scripts/bench_plan.sh` commits to `BENCH_PR8.json`;
 //! * criterion wall-clock arms (`plan/default/<name>`,
 //!   `plan/planned/<name>`) over the prepared handles, as a host-side
@@ -38,16 +39,18 @@ fn bench_plan(c: &mut Criterion) {
     group.sample_size(10);
     for (name, a) in mixed_workloads() {
         let b = dense_b::<F16>(a.ncols(), N_COLS);
-        let d = planner.decide(&a, N_COLS, &base);
+        let d = planner.decide(&a, N_COLS);
+        let planned_cfg = d.apply(&base);
+        let format = planned_cfg.format.name();
         let default_engine = Smat::prepare(&a, base.clone());
-        let planned_engine = Smat::prepare_with_plan(&a, d.apply(&base), d);
+        let planned_engine = Smat::prepare_with_plan(&a, planned_cfg, d);
         let default_ms = default_engine.spmm(&b).report.elapsed_ms();
         let planned_ms = planned_engine.spmm(&b).report.elapsed_ms();
         // Deterministic record: the simulator is exact, so these numbers
         // are reproducible and safe to commit as evidence.
         println!(
             "plan_sim/{name}: default={default_ms:.6} ms planned={planned_ms:.6} ms \
-             predicted={:.6} ms config={}x{}/{}/tc={}",
+             predicted={:.6} ms config={}x{}/{}/tc={}/{format}",
             d.predicted_ms,
             d.block_h,
             d.block_w,

@@ -43,4 +43,4 @@ pub use kernel::{
 pub use overlay::{MatrixUpdate, OverlayCell, OverlaySnapshot};
 pub use perfmodel::{PerfModel, PerfSample};
 pub use pipeline::{PrepareTimings, RunReport, Smat, SmatRun};
-pub use planner::{Calibration, PlanDecision, PlanSource, PlanSpace, Planner, ReorderCache};
+pub use planner::{Calibration, PlanDecision, PlanSpace, Planner, ReorderCache};

@@ -14,14 +14,13 @@
 //!    launch), and the calibrated [`PerfModel`] predicts
 //!    `T_tot = T_e · (n_e · ⌈n/8⌉) + T_init`. The winning candidate and its
 //!    prediction become a [`PlanDecision`].
-//! 2. **Probe fallback** — with no calibration, the planner dry-runs each
-//!    candidate once ([`Smat::prepare_with_reordering`] + one simulated
-//!    launch per execution mode) and *bootstraps* a calibration from those
-//!    probe samples, so the expensive path runs at most once per planner.
-//! 3. **Observe** — the serving layer feeds observed kernel times back via
-//!    [`Planner::observe`]; the model is refit online over a sliding
-//!    window, making every recorded prediction falsifiable
-//!    (`plan_mean_rel_error` in the server stats).
+//! 2. **Observe** — the serving layer feeds observed kernel times back via
+//!    [`Planner::observe`]; each mode's line is refit online over a sliding
+//!    window every 8 new samples in that mode, making every recorded
+//!    prediction falsifiable (`plan_mean_rel_error` in the server stats).
+//!
+//! Every planner starts from an offline [`Calibration`] (the paper's
+//! band-matrix fit); there is no uncalibrated mode.
 //!
 //! The model variable is `x = n_e · ⌈n/NTILE⌉`: the kernel executes one
 //! elementary computation (block × B-tile MMA) per stored block per output
@@ -31,7 +30,7 @@
 use std::sync::Mutex;
 
 use serde::Serialize;
-use smat_formats::{Csr, Dense, Element, PackedIndex};
+use smat_formats::{Csr, Dense, Element};
 use smat_gpusim::Gpu;
 use smat_reorder::stats::count_blocks;
 use smat_reorder::{reorder, ReorderAlgorithm, Reordering};
@@ -43,36 +42,25 @@ use crate::pipeline::Smat;
 
 /// Sliding-window capacity for online refit samples (per execution mode).
 const OBSERVE_WINDOW: usize = 128;
-/// Refit cadence: the model is refit every this many new observations in a
-/// mode's window (provided the window is identifiable).
+/// Refit cadence: a mode's line is refit after this many new observations
+/// in that mode (provided the window is identifiable).
 const REFIT_EVERY: usize = 8;
-/// Minimum samples in a window before the first (re)fit.
-const REFIT_MIN: usize = 8;
 
-/// Candidate space the planner searches at admission.
+/// Candidate space the planner searches at admission. Every candidate is
+/// scored in both execution modes.
 #[derive(Clone, Debug)]
 pub struct PlanSpace {
     /// Block shapes to consider; each must map to an MMA fragment shape the
-    /// device supports (`m = h`, `k = w`), or its probe launch fails and
-    /// the candidate is skipped.
+    /// device supports (`m = h`, `k = w`).
     pub block_shapes: Vec<(usize, usize)>,
     /// Reordering schemes to consider.
     pub reorderings: Vec<ReorderAlgorithm>,
-    /// Also consider the scalar (CUDA-core) execution mode. On skewed
-    /// matrices with tiny fill the modeled TC advantage can invert.
-    pub try_scalar: bool,
-    /// Index formats to consider on the Tensor Core path (the scalar mode
-    /// always streams the plain index). Each format is priced by its own
-    /// calibration line, so admission can pick packed-vs-plain BCSR per
-    /// tenant.
-    pub formats: Vec<MatrixFormat>,
 }
 
 impl Default for PlanSpace {
     /// The f16-supported fragment shapes (`m16n8k16`, `m16n8k8`) crossed
     /// with the paper's default reordering, no reordering, and Gray code —
-    /// the same space [`crate::autotune::TuneSpace`] defaults to — plus the
-    /// scalar mode.
+    /// the same space [`crate::autotune::TuneSpace`] defaults to.
     fn default() -> Self {
         PlanSpace {
             block_shapes: vec![(16, 16), (16, 8)],
@@ -81,20 +69,8 @@ impl Default for PlanSpace {
                 ReorderAlgorithm::JaccardRows { tau: 0.7 },
                 ReorderAlgorithm::GrayCode,
             ],
-            try_scalar: true,
-            formats: vec![MatrixFormat::PlainBcsr, MatrixFormat::PackedBcsr],
         }
     }
-}
-
-/// How a [`PlanDecision`] was reached.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum PlanSource {
-    /// Scored with the calibrated perf model over cheap structure stats.
-    Calibrated,
-    /// Measured by probe launches (no calibration existed yet);
-    /// `predicted_ms` is the winner's measured probe time.
-    Probe,
 }
 
 /// The planner's choice for one matrix, recorded *before* execution so the
@@ -109,22 +85,20 @@ pub struct PlanDecision {
     pub reorder: ReorderAlgorithm,
     /// Tensor-core (`true`) or scalar (`false`) execution.
     pub use_tc: bool,
-    /// Chosen index format (plain vs bit-packed BCSR).
-    pub format: MatrixFormat,
     /// Predicted `T_tot` in milliseconds for the planning width
     /// (see [`Planner::decide`]'s `n_cols`).
     pub predicted_ms: f64,
     /// Block count `n_e` of the permuted matrix under the chosen shape —
     /// equals `bcsr.nblocks()` of the resulting prepare.
     pub n_e: usize,
-    /// Whether the decision came from the model or from probe runs.
-    pub source: PlanSource,
 }
 
 impl PlanDecision {
     /// Materializes the decision as a full [`SmatConfig`], inheriting
     /// everything the planner does not choose (accumulation mode, schedule,
-    /// device, preflight policy) from `base`.
+    /// device, preflight policy) from `base`. The index format follows the
+    /// mode: Tensor Core decisions stream the bit-packed index their cost
+    /// line was fitted on, scalar ones the plain index.
     pub fn apply(&self, base: &SmatConfig) -> SmatConfig {
         let mut opts = base.opts;
         opts.tc = self.use_tc;
@@ -133,7 +107,11 @@ impl PlanDecision {
             block_w: self.block_w,
             reorder: self.reorder,
             opts,
-            format: self.format,
+            format: if self.use_tc {
+                MatrixFormat::PackedBcsr
+            } else {
+                MatrixFormat::PlainBcsr
+            },
             ..base.clone()
         }
     }
@@ -145,23 +123,21 @@ impl PlanDecision {
     }
 }
 
-/// Fitted cost lines: one Eq. 1 model per execution mode, plus one per
-/// index format on the Tensor Core path.
+/// Fitted cost lines: one Eq. 1 model per execution mode, each pricing the
+/// index format its mode runs under [`PlanDecision::apply`].
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct Calibration {
     /// Model of the tensor-core kernel (`opts.tc = true`) streaming the
-    /// plain BCSR index.
+    /// bit-packed BCSR index: fitted on packed probes and refit from the
+    /// packed launches Tensor Core decisions run.
     pub tc: PerfModel,
-    /// Model of the scalar kernel (`opts.tc = false`).
+    /// Model of the scalar kernel (`opts.tc = false`), which streams the
+    /// plain index.
     pub scalar: PerfModel,
-    /// Model of the tensor-core kernel streaming the bit-packed index —
-    /// the per-format cost line admission uses to choose packed-vs-plain
-    /// BCSR per tenant.
-    pub packed: PerfModel,
 }
 
 impl Calibration {
-    /// The model for an execution mode (plain index).
+    /// The model for an execution mode.
     pub fn model(&self, use_tc: bool) -> &PerfModel {
         if use_tc {
             &self.tc
@@ -170,22 +146,13 @@ impl Calibration {
         }
     }
 
-    /// The cost line for an execution mode and index format. The scalar
-    /// kernel has no packed specialization: its line is format-independent.
-    pub fn line(&self, use_tc: bool, format: MatrixFormat) -> &PerfModel {
-        match (use_tc, format) {
-            (true, MatrixFormat::PackedBcsr) => &self.packed,
-            (true, MatrixFormat::PlainBcsr) => &self.tc,
-            (false, _) => &self.scalar,
-        }
-    }
-
     /// Fits both models by probe-running every matrix in `matrices` once
     /// per mode with `base`'s block shape and no reordering, against an
     /// `n_cols`-wide right-hand side — the paper's band-matrix fitting
     /// procedure (§III) with the caller choosing the suite
     /// (`smat_workloads::generators::calibration_bands` reproduces the
-    /// paper's).
+    /// paper's). The Tensor Core probe streams the packed index, the
+    /// scalar probe the plain one.
     ///
     /// # Panics
     /// Panics if fewer than two matrices produce distinct block counts (the
@@ -194,45 +161,71 @@ impl Calibration {
         let gpu = Gpu::new(base.device.clone());
         let mut tc_samples = Vec::with_capacity(matrices.len());
         let mut scalar_samples = Vec::with_capacity(matrices.len());
-        let mut packed_samples = Vec::with_capacity(matrices.len());
         for a in matrices {
             let cfg = SmatConfig {
                 reorder: ReorderAlgorithm::Identity,
+                format: MatrixFormat::PackedBcsr,
                 ..base.clone()
             };
             let engine = Smat::prepare(a, cfg);
-            let packed_idx = PackedIndex::from_bcsr(engine.bcsr());
             let probe = probe_rhs::<T>(a.ncols(), n_cols);
             let x = engine.bcsr().nblocks() as f64 * n_cols.div_ceil(NTILE).max(1) as f64;
-            for use_tc in [true, false] {
-                let t = probe_launch(&gpu, &engine, &probe, use_tc, None, base)
+            for (use_tc, samples) in [(true, &mut tc_samples), (false, &mut scalar_samples)] {
+                let t_ms = probe_launch(&gpu, &engine, &probe, use_tc, base)
                     .expect("calibration probe launch failed");
-                let sample = PerfSample { n_e: x, t_ms: t };
-                if use_tc {
-                    tc_samples.push(sample);
-                } else {
-                    scalar_samples.push(sample);
-                }
+                samples.push(PerfSample { n_e: x, t_ms });
             }
-            let t = probe_launch(&gpu, &engine, &probe, true, Some(&packed_idx), base)
-                .expect("calibration probe launch failed");
-            packed_samples.push(PerfSample { n_e: x, t_ms: t });
         }
         Calibration {
             tc: PerfModel::fit(&tc_samples),
             scalar: PerfModel::fit(&scalar_samples),
-            packed: PerfModel::fit(&packed_samples),
         }
+    }
+}
+
+/// One execution mode's online refit window.
+#[derive(Debug, Default)]
+struct ObserveWindow {
+    samples: Vec<PerfSample>,
+    /// Samples added since the last refit attempt.
+    fresh: usize,
+}
+
+impl ObserveWindow {
+    /// Adds `sample`, dropping the oldest beyond [`OBSERVE_WINDOW`]. Every
+    /// [`REFIT_EVERY`] new samples it attempts a refit and returns the new
+    /// line — unless the window's x-spread is unidentifiable: a burst of
+    /// identical shapes must not wipe out the calibration.
+    fn push(&mut self, sample: PerfSample) -> Option<PerfModel> {
+        self.samples.push(sample);
+        if self.samples.len() > OBSERVE_WINDOW {
+            self.samples.remove(0);
+        }
+        self.fresh += 1;
+        if self.fresh < REFIT_EVERY {
+            return None;
+        }
+        self.fresh = 0;
+        let (min_x, max_x) = self
+            .samples
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), s| {
+                (lo.min(s.n_e), hi.max(s.n_e))
+            });
+        if max_x - min_x <= max_x.abs() * 1e-6 + 1e-12 {
+            return None;
+        }
+        Some(PerfModel::fit(&self.samples))
     }
 }
 
 /// Mutable planner state behind one lock: the current calibration plus the
 /// per-mode observation windows feeding online refits.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PlannerState {
-    calibration: Option<Calibration>,
-    tc_window: Vec<PerfSample>,
-    scalar_window: Vec<PerfSample>,
+    calibration: Calibration,
+    tc_window: ObserveWindow,
+    scalar_window: ObserveWindow,
     observations: u64,
     refits: u64,
 }
@@ -246,23 +239,17 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// An uncalibrated planner: the first [`Planner::decide`] per planner
-    /// runs probe launches and bootstraps the calibration from them.
-    pub fn new(space: PlanSpace) -> Self {
-        Planner {
-            space,
-            state: Mutex::new(PlannerState::default()),
-        }
-    }
-
-    /// A planner with a pre-fitted calibration: every decision uses the
-    /// cheap model-scored path from the start.
+    /// A planner starting from a pre-fitted calibration (see
+    /// [`Calibration::fit_on`]); every decision is model-scored.
     pub fn with_calibration(space: PlanSpace, calibration: Calibration) -> Self {
         Planner {
             space,
             state: Mutex::new(PlannerState {
-                calibration: Some(calibration),
-                ..PlannerState::default()
+                calibration,
+                tc_window: ObserveWindow::default(),
+                scalar_window: ObserveWindow::default(),
+                observations: 0,
+                refits: 0,
             }),
         }
     }
@@ -272,8 +259,8 @@ impl Planner {
         &self.space
     }
 
-    /// The current calibration (updated by online refits), if any.
-    pub fn calibration(&self) -> Option<Calibration> {
+    /// The current calibration (updated by online refits).
+    pub fn calibration(&self) -> Calibration {
         self.lock_state().calibration
     }
 
@@ -288,42 +275,22 @@ impl Planner {
     }
 
     /// Predicted `T_tot` in milliseconds for `n_e` blocks against an
-    /// `n_cols`-wide right-hand side, under the current calibration.
-    ///
-    /// Prices the plain-BCSR line; decisions that won on the packed index
-    /// reproduce through [`Planner::predict_for`] with their format.
-    pub fn predict(&self, use_tc: bool, n_e: usize, n_cols: usize) -> Option<f64> {
-        self.predict_for(use_tc, MatrixFormat::PlainBcsr, n_e, n_cols)
-    }
-
-    /// Predicted `T_tot` in milliseconds for `n_e` blocks of the given
-    /// index `format` against an `n_cols`-wide right-hand side, under the
-    /// current calibration. This is the line [`Planner::decide`] scores, so
-    /// a [`PlanDecision`]'s `predicted_ms` reproduces from
-    /// `(use_tc, format, n_e, n_cols)`.
-    pub fn predict_for(
-        &self,
-        use_tc: bool,
-        format: MatrixFormat,
-        n_e: usize,
-        n_cols: usize,
-    ) -> Option<f64> {
+    /// `n_cols`-wide right-hand side, under the current calibration. This
+    /// is the line [`Planner::decide`] scores, so a [`PlanDecision`]'s
+    /// `predicted_ms` reproduces from `(use_tc, n_e, n_cols)`.
+    pub fn predict(&self, use_tc: bool, n_e: usize, n_cols: usize) -> f64 {
         let x = n_e as f64 * n_cols.div_ceil(NTILE).max(1) as f64;
-        self.lock_state()
-            .calibration
-            .map(|c| c.line(use_tc, format).predict(x))
+        self.calibration().model(use_tc).predict(x)
     }
 
     /// The modeled per-request surcharge of executing `overlay_terms`
     /// scalar correction terms on top of the Tensor Core base, against an
     /// `n_cols`-wide right-hand side: the *marginal* scalar cost
     /// `T_e(scalar) · overlay_terms · ⌈n/NTILE⌉` (no launch constant — the
-    /// overlay rides on an already-paid launch). `None` when uncalibrated.
-    pub fn overlay_surcharge_ms(&self, overlay_terms: usize, n_cols: usize) -> Option<f64> {
+    /// overlay rides on an already-paid launch).
+    pub fn overlay_surcharge_ms(&self, overlay_terms: usize, n_cols: usize) -> f64 {
         let x = overlay_terms as f64 * n_cols.div_ceil(NTILE).max(1) as f64;
-        self.lock_state()
-            .calibration
-            .map(|c| c.model(false).t_e_ms * x)
+        self.calibration().scalar.t_e_ms * x
     }
 
     /// Whether compacting a mutated matrix (re-preparing `base ⊕ overlay`)
@@ -333,36 +300,26 @@ impl Planner {
     /// deterministic proxy for the prepare (both are one linear sweep of
     /// the matrix; using the model instead of a host wall clock keeps the
     /// decision a pure function of content, so replays are bitwise
-    /// reproducible). `None` when uncalibrated — callers fall back to a
-    /// structural threshold.
+    /// reproducible).
     pub fn should_compact(
         &self,
         base_ne: usize,
         overlay_terms: usize,
         n_cols: usize,
         horizon: u64,
-    ) -> Option<bool> {
-        let surcharge = self.overlay_surcharge_ms(overlay_terms, n_cols)?;
-        let ntiles = n_cols.div_ceil(NTILE).max(1) as f64;
-        let reprepare = self
-            .lock_state()
-            .calibration
-            .map(|c| c.model(true).predict(base_ne as f64 * ntiles))?;
-        Some(surcharge * horizon as f64 >= reprepare)
+    ) -> bool {
+        let surcharge = self.overlay_surcharge_ms(overlay_terms, n_cols);
+        surcharge * horizon as f64 >= self.predict(true, base_ne, n_cols)
     }
 
     /// Chooses a configuration for matrix `a` and a planning width of
-    /// `n_cols` output columns.
-    ///
-    /// With a calibration present this costs one permutation per effective
+    /// `n_cols` output columns. Costs one permutation per effective
     /// signature plus one [`count_blocks`] pass per candidate — no BCSR
-    /// build, no launch. Without one it probe-runs the candidates and
-    /// bootstraps the calibration as a side effect.
+    /// build, no launch.
     ///
     /// # Panics
-    /// Panics if the space is empty or (in probe mode) no candidate admits
-    /// a launch.
-    pub fn decide<T: Element>(&self, a: &Csr<T>, n_cols: usize, base: &SmatConfig) -> PlanDecision {
+    /// Panics if the space is empty.
+    pub fn decide<T: Element>(&self, a: &Csr<T>, n_cols: usize) -> PlanDecision {
         assert!(
             !self.space.block_shapes.is_empty() && !self.space.reorderings.is_empty(),
             "empty planning space"
@@ -371,24 +328,37 @@ impl Planner {
         span.arg("rows", a.nrows() as u64);
         span.arg("nnz", a.nnz() as u64);
         span.arg("n_cols", n_cols as u64);
-        let calibration = self.lock_state().calibration;
-        let decision = match calibration {
-            Some(cal) => self.decide_calibrated(a, n_cols, &cal),
-            None => self.decide_probe(a, n_cols, base),
-        };
+        let cal = self.calibration();
+        let ntiles = n_cols.div_ceil(NTILE).max(1) as f64;
+        let mut cache = ReorderCache::new(a);
+        let mut best: Option<PlanDecision> = None;
+        for &(h, w) in &self.space.block_shapes {
+            for &alg in &self.space.reorderings {
+                let n_e = count_blocks(cache.permuted(alg, h, w), h, w);
+                // TC first so exact prediction ties keep the tensor-core
+                // path.
+                for use_tc in [true, false] {
+                    let predicted = cal.model(use_tc).predict(n_e as f64 * ntiles);
+                    if best.as_ref().is_none_or(|b| predicted < b.predicted_ms) {
+                        best = Some(PlanDecision {
+                            block_h: h,
+                            block_w: w,
+                            reorder: alg,
+                            use_tc,
+                            predicted_ms: predicted,
+                            n_e,
+                        });
+                    }
+                }
+            }
+        }
+        let decision = best.expect("non-empty planning space");
         span.arg("block_h", decision.block_h as u64);
         span.arg("block_w", decision.block_w as u64);
         span.arg("reorder", decision.reorder.name());
         span.arg("use_tc", decision.use_tc as u64);
         span.arg("n_e", decision.n_e as u64);
         span.arg("predicted_ms", decision.predicted_ms);
-        span.arg(
-            "source",
-            match decision.source {
-                PlanSource::Calibrated => "calibrated",
-                PlanSource::Probe => "probe",
-            },
-        );
         decision
     }
 
@@ -408,198 +378,15 @@ impl Planner {
         } else {
             &mut st.scalar_window
         };
-        window.push(PerfSample { n_e: x, t_ms });
-        if window.len() > OBSERVE_WINDOW {
-            let excess = window.len() - OBSERVE_WINDOW;
-            window.drain(..excess);
-        }
-        if window.len() < REFIT_MIN || window.len() % REFIT_EVERY != 0 {
+        let Some(model) = window.push(PerfSample { n_e: x, t_ms }) else {
             return;
-        }
-        // Refit only when the window's x-spread is identifiable; a burst of
-        // identical shapes must not wipe out the calibration.
-        let (min_x, max_x) = window
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), s| {
-                (lo.min(s.n_e), hi.max(s.n_e))
-            });
-        if max_x - min_x <= max_x.abs() * 1e-6 + 1e-12 {
-            return;
-        }
-        let model = PerfModel::fit(window);
-        match &mut st.calibration {
-            Some(cal) => {
-                if use_tc {
-                    cal.tc = model;
-                } else {
-                    cal.scalar = model;
-                }
-            }
-            // No calibration yet (never probed): bootstrap both modes from
-            // this one — the other mode's line is replaced as soon as its
-            // own window becomes identifiable.
-            None => {
-                st.calibration = Some(Calibration {
-                    tc: model,
-                    scalar: model,
-                    packed: model,
-                });
-            }
+        };
+        if use_tc {
+            st.calibration.tc = model;
+        } else {
+            st.calibration.scalar = model;
         }
         st.refits += 1;
-    }
-
-    fn decide_calibrated<T: Element>(
-        &self,
-        a: &Csr<T>,
-        n_cols: usize,
-        cal: &Calibration,
-    ) -> PlanDecision {
-        let ntiles = n_cols.div_ceil(NTILE).max(1) as f64;
-        let mut cache = ReorderCache::new(a);
-        let mut best: Option<PlanDecision> = None;
-        for &(h, w) in &self.space.block_shapes {
-            for &alg in &self.space.reorderings {
-                let n_e = count_blocks(cache.permuted(alg, h, w), h, w);
-                for use_tc in self.modes() {
-                    for &format in self.formats_for(use_tc) {
-                        let predicted = cal.line(use_tc, format).predict(n_e as f64 * ntiles);
-                        if best.as_ref().is_none_or(|b| predicted < b.predicted_ms) {
-                            best = Some(PlanDecision {
-                                block_h: h,
-                                block_w: w,
-                                reorder: alg,
-                                use_tc,
-                                format,
-                                predicted_ms: predicted,
-                                n_e,
-                                source: PlanSource::Calibrated,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        best.expect("non-empty planning space")
-    }
-
-    fn decide_probe<T: Element>(
-        &self,
-        a: &Csr<T>,
-        n_cols: usize,
-        base: &SmatConfig,
-    ) -> PlanDecision {
-        let gpu = Gpu::new(base.device.clone());
-        let probe = probe_rhs::<T>(a.ncols(), n_cols);
-        let ntiles = n_cols.div_ceil(NTILE).max(1) as f64;
-        let mut cache = ReorderCache::new(a);
-        let mut tc_samples: Vec<PerfSample> = Vec::new();
-        let mut scalar_samples: Vec<PerfSample> = Vec::new();
-        let mut packed_samples: Vec<PerfSample> = Vec::new();
-        let mut best: Option<PlanDecision> = None;
-        let wants_packed = self.space.formats.contains(&MatrixFormat::PackedBcsr);
-        for &(h, w) in &self.space.block_shapes {
-            for &alg in &self.space.reorderings {
-                let reordering = cache.reordering(alg, h, w);
-                let cfg = SmatConfig {
-                    block_h: h,
-                    block_w: w,
-                    reorder: alg,
-                    ..base.clone()
-                };
-                let engine = Smat::prepare_with_reordering(a, cfg, reordering);
-                let n_e = engine.bcsr().nblocks();
-                let packed_idx = wants_packed.then(|| PackedIndex::from_bcsr(engine.bcsr()));
-                for use_tc in self.modes() {
-                    for &format in self.formats_for(use_tc) {
-                        let packed = match format {
-                            MatrixFormat::PackedBcsr => packed_idx.as_ref(),
-                            MatrixFormat::PlainBcsr => None,
-                        };
-                        // A candidate whose fragment shape the device
-                        // rejects is simply not a viable plan; skip it.
-                        let Ok(t) = probe_launch(&gpu, &engine, &probe, use_tc, packed, base)
-                        else {
-                            continue;
-                        };
-                        let sample = PerfSample {
-                            n_e: n_e as f64 * ntiles,
-                            t_ms: t,
-                        };
-                        match (use_tc, format) {
-                            (true, MatrixFormat::PackedBcsr) => packed_samples.push(sample),
-                            (true, MatrixFormat::PlainBcsr) => tc_samples.push(sample),
-                            (false, _) => scalar_samples.push(sample),
-                        }
-                        if best.as_ref().is_none_or(|b| t < b.predicted_ms) {
-                            best = Some(PlanDecision {
-                                block_h: h,
-                                block_w: w,
-                                reorder: alg,
-                                use_tc,
-                                format,
-                                predicted_ms: t,
-                                n_e,
-                                source: PlanSource::Probe,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let best = best.expect("no plan candidate admitted a probe launch");
-        self.bootstrap(&tc_samples, &scalar_samples, &packed_samples);
-        best
-    }
-
-    /// Seeds the calibration from probe samples when none exists yet and
-    /// the samples identify a slope. First writer wins: a concurrent
-    /// probe's bootstrap is not overwritten.
-    fn bootstrap(&self, tc: &[PerfSample], scalar: &[PerfSample], packed: &[PerfSample]) {
-        let fit = |samples: &[PerfSample]| -> Option<PerfModel> {
-            if samples.len() < 2 {
-                return None;
-            }
-            let (min_x, max_x) = samples
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), s| {
-                    (lo.min(s.n_e), hi.max(s.n_e))
-                });
-            if max_x - min_x <= max_x.abs() * 1e-6 + 1e-12 {
-                return None;
-            }
-            Some(PerfModel::fit(samples))
-        };
-        let (Some(tc_model), scalar_model, packed_model) = (fit(tc), fit(scalar), fit(packed))
-        else {
-            return;
-        };
-        let mut st = self.lock_state();
-        if st.calibration.is_none() {
-            st.calibration = Some(Calibration {
-                tc: tc_model,
-                scalar: scalar_model.unwrap_or(tc_model),
-                packed: packed_model.unwrap_or(tc_model),
-            });
-        }
-    }
-
-    /// Execution modes to consider, TC first so exact prediction ties keep
-    /// the tensor-core path.
-    fn modes(&self) -> impl Iterator<Item = bool> {
-        std::iter::once(true).chain(self.space.try_scalar.then_some(false))
-    }
-
-    /// Index formats to consider in an execution mode: the space's formats
-    /// on the Tensor Core path (plain first so exact ties keep the paper's
-    /// layout), the plain index only for the scalar kernel.
-    fn formats_for(&self, use_tc: bool) -> &[MatrixFormat] {
-        const PLAIN_ONLY: &[MatrixFormat] = &[MatrixFormat::PlainBcsr];
-        if use_tc {
-            &self.space.formats
-        } else {
-            PLAIN_ONLY
-        }
     }
 
     fn lock_state(&self) -> std::sync::MutexGuard<'_, PlannerState> {
@@ -612,8 +399,8 @@ impl Planner {
     }
 }
 
-/// The fixed probe right-hand side shared by probe decisions and
-/// calibration fits; values are irrelevant for (simulated) timing.
+/// The fixed probe right-hand side of calibration fits; values are
+/// irrelevant for (simulated) timing.
 fn probe_rhs<T: Element>(rows: usize, n_cols: usize) -> Dense<T> {
     Dense::from_fn(rows, n_cols.max(1), |i, j| {
         T::from_f64(((i + j) % 3) as f64)
@@ -621,14 +408,15 @@ fn probe_rhs<T: Element>(rows: usize, n_cols: usize) -> Dense<T> {
 }
 
 /// One probe launch of `engine`'s BCSR in the given execution mode,
-/// returning the simulated time. Goes through the kernel directly so both
-/// modes reuse a single prepare.
+/// returning the simulated time. The Tensor Core probe streams `engine`'s
+/// packed index when it has one; the scalar probe always streams the plain
+/// index. Goes through the kernel directly so both modes reuse a single
+/// prepare.
 fn probe_launch<T: Element>(
     gpu: &Gpu,
     engine: &Smat<T>,
     probe: &Dense<T>,
     use_tc: bool,
-    packed: Option<&PackedIndex>,
     base: &SmatConfig,
 ) -> Result<f64, smat_gpusim::SimError> {
     let mut opts = base.opts;
@@ -650,7 +438,7 @@ fn probe_launch<T: Element>(
         Epilogue::default(),
         base.schedule,
         KernelPath {
-            packed,
+            packed: engine.packed_index().filter(|_| use_tc),
             panel_depth: base.panel_depth,
         },
     )?;
@@ -770,6 +558,17 @@ mod tests {
         Planner::with_calibration(PlanSpace::default(), cal)
     }
 
+    /// A planner on a hand-written calibration (no probe launches).
+    fn synthetic_planner(line: PerfModel) -> Planner {
+        Planner::with_calibration(
+            PlanSpace::default(),
+            Calibration {
+                tc: line,
+                scalar: line,
+            },
+        )
+    }
+
     #[test]
     fn calibration_fits_positive_slopes() {
         let cal = Calibration::fit_on(&band_suite(), 8, &SmatConfig::default());
@@ -788,11 +587,10 @@ mod tests {
     fn calibrated_decision_is_deterministic_and_finite() {
         let planner = calibrated_planner();
         let a = scrambled_families(128);
-        let d1 = planner.decide(&a, 8, &SmatConfig::default());
-        let d2 = planner.decide(&a, 8, &SmatConfig::default());
+        let d1 = planner.decide(&a, 8);
+        let d2 = planner.decide(&a, 8);
         assert!(d1.predicted_ms.is_finite() && d1.predicted_ms > 0.0);
         assert!(d1.n_e > 0);
-        assert_eq!(d1.source, PlanSource::Calibrated);
         assert_eq!((d1.block_h, d1.block_w), (d2.block_h, d2.block_w));
         assert_eq!(d1.reorder, d2.reorder);
         assert_eq!(d1.use_tc, d2.use_tc);
@@ -803,7 +601,7 @@ mod tests {
     fn decision_n_e_matches_prepared_block_count() {
         let planner = calibrated_planner();
         let a = scrambled_families(96);
-        let d = planner.decide(&a, 8, &SmatConfig::default());
+        let d = planner.decide(&a, 8);
         let engine = Smat::prepare(&a, d.apply(&SmatConfig::default()));
         assert_eq!(d.n_e, engine.bcsr().nblocks());
     }
@@ -811,15 +609,11 @@ mod tests {
     #[test]
     fn overlay_surcharge_is_marginal_and_linear_in_terms() {
         let planner = calibrated_planner();
-        let one = planner.overlay_surcharge_ms(1, 8).unwrap();
-        let ten = planner.overlay_surcharge_ms(10, 8).unwrap();
+        let one = planner.overlay_surcharge_ms(1, 8);
+        let ten = planner.overlay_surcharge_ms(10, 8);
         assert!(one > 0.0);
         assert_eq!(ten.to_bits(), (10.0 * one).to_bits(), "no launch constant");
-        assert_eq!(planner.overlay_surcharge_ms(0, 8).unwrap(), 0.0);
-        // Uncalibrated planners decline to price the overlay.
-        assert!(Planner::new(PlanSpace::default())
-            .overlay_surcharge_ms(4, 8)
-            .is_none());
+        assert_eq!(planner.overlay_surcharge_ms(0, 8), 0.0);
     }
 
     #[test]
@@ -827,21 +621,17 @@ mod tests {
         let planner = calibrated_planner();
         // A tiny overlay on a large base over a short horizon: keep serving
         // the overlay.
-        assert_eq!(planner.should_compact(4096, 1, 8, 1), Some(false));
+        assert!(!planner.should_compact(4096, 1, 8, 1));
         // A huge overlay over a long horizon on a small base: re-prepare.
-        assert_eq!(planner.should_compact(8, 4096, 8, 1024), Some(true));
+        assert!(planner.should_compact(8, 4096, 8, 1024));
         // Monotone in the horizon: once compaction wins at horizon h, it
         // still wins at every longer horizon.
         let mut seen_true = false;
         for h in [1u64, 4, 16, 64, 256, 1024, 4096] {
-            let d = planner.should_compact(64, 32, 8, h).unwrap();
+            let d = planner.should_compact(64, 32, 8, h);
             assert!(!seen_true || d, "decision regressed at horizon {h}");
             seen_true = d;
         }
-        // Uncalibrated: no decision.
-        assert!(Planner::new(PlanSpace::default())
-            .should_compact(64, 32, 8, 16)
-            .is_none());
         // Deterministic: bitwise-identical inputs, identical decision.
         assert_eq!(
             planner.should_compact(64, 32, 8, 16),
@@ -850,47 +640,31 @@ mod tests {
     }
 
     #[test]
-    fn probe_fallback_decides_and_bootstraps_calibration() {
-        let planner = Planner::new(PlanSpace::default());
-        assert!(planner.calibration().is_none());
-        let a = scrambled_families(128);
-        let d = planner.decide(&a, 8, &SmatConfig::default());
-        assert_eq!(d.source, PlanSource::Probe);
-        assert!(d.predicted_ms.is_finite() && d.predicted_ms > 0.0);
-        // The probe samples seeded a calibration: the next decision is
-        // model-scored.
-        assert!(planner.calibration().is_some());
-        let d2 = planner.decide(&a, 8, &SmatConfig::default());
-        assert_eq!(d2.source, PlanSource::Calibrated);
-    }
-
-    #[test]
-    fn probe_decision_picks_the_measured_minimum() {
-        // With try_scalar on, the scalar mode must never win a probe on a
-        // clean blocked matrix (TC is strictly faster per block here).
-        let planner = Planner::new(PlanSpace::default());
+    fn calibrated_decision_picks_tc_on_a_band_matrix() {
+        // Scalar is in the space, but on a clean blocked matrix the Tensor
+        // Core path is strictly faster per block — both in the model and in
+        // the simulator.
+        let planner = calibrated_planner();
         let a = band(96, 8);
-        let d = planner.decide(&a, 8, &SmatConfig::default());
+        let d = planner.decide(&a, 8);
         assert!(d.use_tc, "TC must win on a band matrix: {d:?}");
+        let b = probe_rhs::<F16>(a.ncols(), 8);
+        let cfg = d.apply(&SmatConfig::default());
+        let tc_ms = Smat::prepare(&a, cfg.clone()).spmm(&b).report.elapsed_ms();
+        let scalar = PlanDecision { use_tc: false, ..d }.apply(&cfg);
+        let scalar_ms = Smat::prepare(&a, scalar).spmm(&b).report.elapsed_ms();
+        assert!(tc_ms < scalar_ms, "tc {tc_ms} ms vs scalar {scalar_ms} ms");
     }
 
     #[test]
     fn observe_refits_toward_a_synthetic_linear_workload() {
         // Start from a deliberately wrong calibration and feed samples from
         // a known line; the online refit must converge to it.
-        let bad = PerfModel {
+        let planner = synthetic_planner(PerfModel {
             t_e_ms: 123.0,
             t_init_ms: 9.9,
             r2: 0.0,
-        };
-        let planner = Planner::with_calibration(
-            PlanSpace::default(),
-            Calibration {
-                tc: bad,
-                scalar: bad,
-                packed: bad,
-            },
-        );
+        });
         let true_te = 2.5e-4;
         let true_init = 0.75;
         for i in 1..=32usize {
@@ -900,21 +674,43 @@ mod tests {
         }
         assert!(planner.refits() >= 1, "refits: {}", planner.refits());
         assert_eq!(planner.observations(), 32);
-        let predicted = planner.predict(true, 2000, 8).expect("calibrated");
+        let predicted = planner.predict(true, 2000, 8);
         let truth = true_te * 2000.0 + true_init;
         assert!(
             ((predicted - truth) / truth).abs() < 1e-6,
             "predicted {predicted} vs truth {truth}"
         );
         // The scalar model was untouched (still the bad line).
-        let scalar = planner.calibration().unwrap().scalar;
-        assert_eq!(scalar.t_e_ms, 123.0);
+        assert_eq!(planner.calibration().scalar.t_e_ms, 123.0);
+    }
+
+    #[test]
+    fn refits_follow_new_samples_per_mode_after_the_window_fills() {
+        // Once the window holds OBSERVE_WINDOW samples its length stays
+        // fixed; the cadence must still count new samples, not the length.
+        let planner = synthetic_planner(PerfModel {
+            t_e_ms: 1e-3,
+            t_init_ms: 0.5,
+            r2: 1.0,
+        });
+        for i in 0..300usize {
+            let n_e = 50 + (i % 17) * 10;
+            planner.observe(true, n_e, 8, 1e-3 * n_e as f64 + 0.5);
+        }
+        assert_eq!(planner.observations(), 300);
+        assert_eq!(planner.refits(), 300 / REFIT_EVERY as u64);
+        // Each mode counts its own samples: scalar ones start a fresh
+        // count without disturbing the TC cadence.
+        for i in 0..2 * REFIT_EVERY - 1 {
+            planner.observe(false, 50 + i * 10, 8, 2e-3 * (50 + i * 10) as f64);
+        }
+        assert_eq!(planner.refits(), 300 / REFIT_EVERY as u64 + 1);
     }
 
     #[test]
     fn degenerate_observations_do_not_wipe_calibration() {
         let planner = calibrated_planner();
-        let before = planner.calibration().unwrap().tc;
+        let before = planner.calibration().tc;
         // A burst of identical shapes and some garbage times.
         for _ in 0..64 {
             planner.observe(true, 500, 8, 1.0);
@@ -922,7 +718,7 @@ mod tests {
         planner.observe(true, 500, 8, f64::NAN);
         planner.observe(true, 500, 8, 0.0);
         planner.observe(true, 500, 8, -3.0);
-        let after = planner.calibration().unwrap().tc;
+        let after = planner.calibration().tc;
         assert_eq!(before.t_e_ms.to_bits(), after.t_e_ms.to_bits());
         assert_eq!(planner.refits(), 0);
         // Only the finite positive samples were counted.
@@ -931,49 +727,86 @@ mod tests {
 
     #[test]
     fn calibration_carries_a_packed_cost_line() {
-        let cal = Calibration::fit_on(&band_suite(), 8, &SmatConfig::default());
-        assert!(cal.packed.t_e_ms > 0.0);
-        // The packed line prices the compressed index: per elementary
-        // computation it must not cost more than the plain TC line (same
-        // compute, strictly fewer metadata bytes on the band suite).
+        // The TC line is fitted on packed-index probes: it reproduces a fit
+        // over packed launches bitwise, and per elementary computation it
+        // costs no more than a plain-index fit (same compute, strictly
+        // fewer metadata bytes on the band suite).
+        let base = SmatConfig::default();
+        let cal = Calibration::fit_on(&band_suite(), 8, &base);
+        let gpu = Gpu::new(base.device.clone());
+        let tc_line = |format: MatrixFormat| {
+            let samples: Vec<PerfSample> = band_suite()
+                .iter()
+                .map(|a| {
+                    let cfg = SmatConfig {
+                        reorder: ReorderAlgorithm::Identity,
+                        format,
+                        ..base.clone()
+                    };
+                    let engine = Smat::prepare(a, cfg);
+                    let probe = probe_rhs::<F16>(a.ncols(), 8);
+                    PerfSample {
+                        n_e: engine.bcsr().nblocks() as f64,
+                        t_ms: probe_launch(&gpu, &engine, &probe, true, &base).unwrap(),
+                    }
+                })
+                .collect();
+            PerfModel::fit(&samples)
+        };
+        let packed = tc_line(MatrixFormat::PackedBcsr);
+        let plain = tc_line(MatrixFormat::PlainBcsr);
+        assert_eq!(cal.tc.t_e_ms.to_bits(), packed.t_e_ms.to_bits());
+        assert_eq!(cal.tc.t_init_ms.to_bits(), packed.t_init_ms.to_bits());
         assert!(
-            cal.packed.t_e_ms <= cal.tc.t_e_ms,
+            cal.tc.t_e_ms <= plain.t_e_ms,
             "packed T_e {} vs plain {}",
-            cal.packed.t_e_ms,
-            cal.tc.t_e_ms
+            cal.tc.t_e_ms,
+            plain.t_e_ms
         );
-        assert!(std::ptr::eq(
-            cal.line(true, MatrixFormat::PackedBcsr),
-            &cal.packed
-        ));
-        assert!(std::ptr::eq(
-            cal.line(true, MatrixFormat::PlainBcsr),
-            &cal.tc
-        ));
-        assert!(std::ptr::eq(
-            cal.line(false, MatrixFormat::PackedBcsr),
-            &cal.scalar
-        ));
     }
 
     #[test]
     fn decision_format_applies_to_the_config() {
+        // The format follows the mode: TC decisions run the packed index
+        // their line prices, scalar decisions the plain one.
         let planner = calibrated_planner();
         let a = scrambled_families(128);
-        let d = planner.decide(&a, 8, &SmatConfig::default());
+        let d = planner.decide(&a, 8);
+        for use_tc in [true, false] {
+            let d = PlanDecision { use_tc, ..d };
+            let cfg = d.apply(&SmatConfig::default());
+            assert_eq!(cfg.opts.tc, use_tc);
+            let want = if use_tc {
+                MatrixFormat::PackedBcsr
+            } else {
+                MatrixFormat::PlainBcsr
+            };
+            assert_eq!(cfg.format, want);
+            let engine = Smat::prepare_with_plan(&a, cfg, d);
+            assert_eq!(engine.packed_index().is_some(), use_tc);
+            assert_eq!(d.n_e, engine.bcsr().nblocks());
+        }
+    }
+
+    #[test]
+    fn tc_refits_keep_decisions_on_the_packed_index() {
+        // Serving feeds TC launches back; refitting the TC line from them
+        // must never flip a TC decision to another index format, however
+        // far the refit line falls below the offline fit.
+        let planner = calibrated_planner();
+        let offline = planner.calibration().tc;
+        for i in 0..2 * REFIT_EVERY {
+            let n_e = 40 + 10 * i;
+            planner.observe(true, n_e, 8, 0.5 * offline.predict(n_e as f64));
+        }
+        assert!(planner.refits() >= 1, "refits: {}", planner.refits());
+        assert!(planner.calibration().tc.predict(100.0) < offline.predict(100.0));
+        let a = band(96, 8);
+        let d = planner.decide(&a, 8);
+        assert!(d.use_tc, "{d:?}");
         let cfg = d.apply(&SmatConfig::default());
-        assert_eq!(cfg.format, d.format);
-        // A packed-only space must choose the packed format (probe path).
-        let packed_only = Planner::new(PlanSpace {
-            formats: vec![MatrixFormat::PackedBcsr],
-            try_scalar: false,
-            ..PlanSpace::default()
-        });
-        let d = packed_only.decide(&a, 8, &SmatConfig::default());
-        assert_eq!(d.format, MatrixFormat::PackedBcsr);
-        let engine = Smat::prepare(&a, d.apply(&SmatConfig::default()));
-        assert!(engine.packed_index().is_some());
-        assert_eq!(d.n_e, engine.bcsr().nblocks());
+        assert_eq!(cfg.format, MatrixFormat::PackedBcsr);
+        assert!(Smat::prepare_with_plan(&a, cfg, d).packed_index().is_some());
     }
 
     #[test]
@@ -1028,13 +861,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty planning space")]
     fn rejects_empty_space() {
-        let planner = Planner::new(PlanSpace {
-            block_shapes: vec![],
-            reorderings: vec![],
-            try_scalar: false,
-            formats: vec![MatrixFormat::PlainBcsr],
-        });
+        let line = PerfModel {
+            t_e_ms: 1e-3,
+            t_init_ms: 0.5,
+            r2: 1.0,
+        };
+        let planner = Planner::with_calibration(
+            PlanSpace {
+                block_shapes: vec![],
+                reorderings: vec![],
+            },
+            Calibration {
+                tc: line,
+                scalar: line,
+            },
+        );
         let a = band(32, 2);
-        let _ = planner.decide(&a, 8, &SmatConfig::default());
+        let _ = planner.decide(&a, 8);
     }
 }

@@ -90,9 +90,7 @@ pub use registry::{
     Tenant,
 };
 pub use server::{CompactionPolicy, ResponseFuture, ServeResponse, Server, ServerConfig};
-pub use smat::{
-    Calibration, MatrixUpdate, OverlaySnapshot, PlanDecision, PlanSource, PlanSpace, Planner,
-};
+pub use smat::{Calibration, MatrixUpdate, OverlaySnapshot, PlanDecision, PlanSpace, Planner};
 pub use smat_shard::{FanoutJoin, ShardPlan, ShardPolicy};
 pub use smat_trace::TraceHandle;
 pub use stats::{ChaosStats, DeviceStats, LatencyStats, ServerStats};

@@ -99,10 +99,10 @@ pub struct ServerConfig {
 /// and atomically swaps the registry handle — serving never blocks, and
 /// in-flight requests finish on the snapshot they admitted under.
 ///
-/// The trigger prefers the calibrated cost model
+/// With an admission planner the trigger is its calibrated cost model
 /// ([`Planner::should_compact`]): compact when the overlay's per-launch
 /// scalar surcharge, amortized over `horizon` launches, exceeds the
-/// predicted one-time re-preparation cost. Without a calibrated planner the
+/// predicted one-time re-preparation cost. Without a planner the
 /// structural fallback fires when the overlay reaches
 /// `max(min_overlay_cells, overlay_nnz_fraction · base nnz)` correction
 /// terms. Both triggers are pure functions of matrix content, so the
@@ -573,31 +573,31 @@ impl<T: Element> Server<T> {
     }
 
     /// Whether `handle`'s overlay has grown past the re-preparation
-    /// amortization point under the configured policy. Prefers the
-    /// calibrated cost model; falls back to the structural threshold when
-    /// the planner is absent or uncalibrated. Pure function of matrix
-    /// content — deterministic across replays.
+    /// amortization point under the configured policy: the planner's
+    /// calibrated cost model, or the structural threshold without a
+    /// planner. Pure function of matrix content — deterministic across
+    /// replays.
     fn overlay_past_amortization(&self, handle: &Smat<T>) -> bool {
         let terms = handle.overlay_snapshot().correction_terms();
         if terms == 0 {
             return false;
         }
         let policy = &self.config.compaction;
-        let model = self.config.planner.as_ref().and_then(|p| {
-            p.should_compact(
+        match &self.config.planner {
+            Some(p) => p.should_compact(
                 handle.bcsr().nblocks(),
                 terms,
                 self.config.column_budget,
                 policy.horizon,
-            )
-        });
-        model.unwrap_or_else(|| {
-            let floor = policy
-                .min_overlay_cells
-                .max((policy.overlay_nnz_fraction * handle.fingerprint().nnz as f64) as usize)
-                .max(1);
-            terms >= floor
-        })
+            ),
+            None => {
+                let floor = policy
+                    .min_overlay_cells
+                    .max((policy.overlay_nnz_fraction * handle.fingerprint().nnz as f64) as usize)
+                    .max(1);
+                terms >= floor
+            }
+        }
     }
 
     /// Starts a background compaction of `key`: re-prepares
@@ -913,7 +913,7 @@ impl Preparer {
     fn shard<T: Element>(&self, a: &Csr<T>) -> Smat<T> {
         match &self.planner {
             Some(p) => {
-                let decision = p.decide(a, self.width, &self.cfg);
+                let decision = p.decide(a, self.width);
                 Smat::prepare_with_plan(a, decision.apply(&self.cfg), decision)
             }
             None => Smat::prepare(a, self.cfg.clone()),
@@ -1511,9 +1511,7 @@ fn execute_batch<T: Element>(
                     (&shared.planner, live[0].smat.plan_decision())
                 {
                     if !out.degraded && out.sim_ms > 0.0 {
-                        let pred = planner
-                            .predict_for(decision.use_tc, decision.format, decision.n_e, batch_cols)
-                            .unwrap_or(decision.predicted_ms);
+                        let pred = planner.predict(decision.use_tc, decision.n_e, batch_cols);
                         central.planned.fetch_add(n_live as u64, Ordering::Relaxed);
                         {
                             // POLICY (poisoning): recover. Two-scalar

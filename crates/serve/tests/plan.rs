@@ -51,7 +51,7 @@ fn planned_serving_is_bitwise_identical_to_manually_pinned_configs() {
     let manual_keys: Vec<_> = mats
         .iter()
         .map(|a| {
-            let d = offline.decide(a, manual_config_width(), &base);
+            let d = offline.decide(a, manual_config_width());
             manual.register_with_config(a, d.apply(&base))
         })
         .collect();

@@ -605,7 +605,7 @@ fn main() -> ExitCode {
         let cal =
             Calibration::fit_on(&calibration_bands::<F16>(args.size), 8, &smat_config(&args));
         eprintln!(
-            "plan: calibrated T_e(tc)={:.3e} ms T_init(tc)={:.3e} ms (r2 {:.4}) | T_e(scalar)={:.3e} ms",
+            "plan: calibrated T_e(tc, packed)={:.3e} ms T_init(tc)={:.3e} ms (r2 {:.4}) | T_e(scalar)={:.3e} ms",
             cal.tc.t_e_ms, cal.tc.t_init_ms, cal.tc.r2, cal.scalar.t_e_ms
         );
         cal
@@ -620,7 +620,7 @@ fn main() -> ExitCode {
         let offline = Planner::with_calibration(PlanSpace::default(), cal);
         matrices
             .iter()
-            .map(|a| offline.decide(a, args.budget, &smat_config(&args)))
+            .map(|a| offline.decide(a, args.budget))
             .collect()
     });
     // Out-of-band reference handles for bitwise verification: prepared with

@@ -2,7 +2,9 @@
 # Admission-planner benchmark: regenerates BENCH_PR8.json, the committed
 # evidence for the cost-model-driven planner — per-matrix simulated kernel
 # time under the planner's chosen configuration vs the fixed paper default
-# on the mixed rmat/dc2-class workloads (the `plan` criterion bench), plus
+# on the mixed rmat/dc2-class workloads (the `plan` criterion bench; a
+# Tensor Core config runs the packed index, the format the planner's one
+# TC cost line is fitted on), plus
 # an end-to-end planned trace replay of the serve example (bitwise
 # verification against hand-pinned configs, replay determinism, prediction
 # accuracy accounting).
@@ -57,6 +59,11 @@ assert serve["mismatches"] == 0, "planned serving diverged from hand-pinned conf
 assert serve["runs_identical"], "planned replay was not deterministic"
 plan = serve["plan"]
 assert plan["planned_requests"] > 0 and plan["plan_predictions"] > 0
+assert plan["plan_refits"] <= plan["plan_observations"] // 8, \
+    "the planner refit more than once per 8 new observations per mode"
+for r in sim.values():
+    tc, fmt = r["planned_config"].split("/")[-2:]
+    assert fmt == ("packed" if tc == "tc=true" else "plain"), r["planned_config"]
 
 record = {
     "example": "bench_plan",

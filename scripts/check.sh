@@ -122,8 +122,10 @@ echo "==> plan smoke: planned replay bitwise-verified, predictions graded, sanit
 # --plan routes every registration through the cost-model-driven admission
 # planner; the example verifies planned serving bitwise against references
 # prepared under the same decisions chosen manually, and grades every
-# prediction against the launch it planned.
-plan_json="$(./target/release/examples/serve --requests 128 --plan --sanitize 2>/dev/null)"
+# prediction against the launch it planned. 512 requests run long enough
+# to fill the planner's observation window, where the refit cadence must
+# still hold.
+plan_json="$(./target/release/examples/serve --requests 512 --plan --sanitize 2>/dev/null)"
 python3 - "$plan_json" <<'PY'
 import json, math, sys
 rec = json.loads(sys.argv[1])
@@ -137,6 +139,10 @@ assert plan["plan_predictions"] > 0, "no prediction was graded against a launch"
 assert math.isfinite(plan["plan_mean_rel_error"]), plan["plan_mean_rel_error"]
 assert plan["request_checks"] > 0 and math.isfinite(plan["request_mean_rel_error"])
 assert plan["decisions"], "no admission decisions were recorded"
+# Each mode refits at most once per 8 new observations, also once its
+# sliding window is full.
+assert plan["plan_refits"] <= plan["plan_observations"] // 8, \
+    f"{plan['plan_refits']} refits over {plan['plan_observations']} observations"
 print(f"plan smoke OK: {plan['planned_requests']} planned requests, "
       f"{plan['plan_predictions']} predictions graded "
       f"(mean rel error {plan['plan_mean_rel_error']:.3f}), "

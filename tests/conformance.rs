@@ -219,16 +219,27 @@ fn packed_bcsr_pipeline_conforms_and_matches_plain_bitwise() {
 #[test]
 fn planner_chosen_configs_conform_bitwise() {
     // The admission planner only picks *which* configuration runs; the run
-    // itself must stay in the bitwise-exact regime. Exercise both planner
-    // modes (calibrated scoring and probe-run fallback) on matrices with
-    // awkward structure and make sure the chosen pipeline agrees with the
-    // dense oracle exactly.
+    // itself must stay in the bitwise-exact regime. Exercise the planner
+    // on its offline calibration and after online refits (which move both
+    // lines, so decisions can differ) on matrices with awkward structure,
+    // and make sure the chosen pipeline agrees with the dense oracle
+    // exactly.
     let base = SmatConfig::default();
-    let calibrated = Planner::with_calibration(
-        PlanSpace::default(),
-        Calibration::fit_on(&workloads::calibration_bands::<F16>(96), 8, &base),
-    );
-    let probing = Planner::new(PlanSpace::default());
+    let cal = Calibration::fit_on(&workloads::calibration_bands::<F16>(96), 8, &base);
+    let calibrated = Planner::with_calibration(PlanSpace::default(), cal);
+    let refitted = Planner::with_calibration(PlanSpace::default(), cal);
+    // A steeper TC line and a shallower scalar one than the offline fit:
+    // the refitted planner turns to the scalar mode (plain index) where
+    // the offline one runs Tensor Cores (packed index), so both pairs are
+    // checked.
+    for i in 0..16usize {
+        let n_e = 20 + 15 * i;
+        let x = n_e as f64;
+        refitted.observe(true, n_e, 8, 3.0 * cal.tc.predict(x));
+        refitted.observe(false, n_e, 8, 0.5 * cal.scalar.predict(x));
+    }
+    assert_eq!(refitted.observations(), 32);
+    assert!(refitted.refits() >= 2, "refits: {}", refitted.refits());
     for (label, a) in [
         ("awkward", awkward_matrix()),
         ("uniform", workloads::random_uniform(128, 96, 0.9, 21)),
@@ -236,8 +247,9 @@ fn planner_chosen_configs_conform_bitwise() {
     ] {
         let b = rhs(a.ncols(), 9);
         let want = dense_oracle(&a, &b);
-        for (mode, planner) in [("calibrated", &calibrated), ("probe", &probing)] {
-            let d = planner.decide(&a, b.ncols(), &base);
+        for (mode, planner) in [("calibrated", &calibrated), ("refitted", &refitted)] {
+            let d = planner.decide(&a, b.ncols());
+            assert_eq!(d.use_tc, mode == "calibrated", "{label}: {d:?}");
             let run = Smat::prepare(&a, d.apply(&base)).spmm(&b);
             assert_eq!(
                 run.c,

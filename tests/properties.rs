@@ -479,7 +479,7 @@ proptest! {
         // picks must stay bitwise-exact.
         let base = SmatConfig::default();
         let planner = Planner::with_calibration(PlanSpace::default(), shared_calibration());
-        let d = planner.decide(&a, n, &base);
+        let d = planner.decide(&a, n);
         prop_assert!(
             planner.space().block_shapes.contains(&(d.block_h, d.block_w))
         );
@@ -489,15 +489,13 @@ proptest! {
             "prediction must be finite and positive: {}", d.predicted_ms
         );
         prop_assert!(
-            planner
-                .predict_for(d.use_tc, d.format, d.n_e, n)
-                .is_some_and(|p| p == d.predicted_ms),
-            "recorded prediction must reproduce from (mode, format, n_e, width)"
+            planner.predict(d.use_tc, d.n_e, n) == d.predicted_ms,
+            "recorded prediction must reproduce from (mode, n_e, width)"
         );
 
         // Deciding again is bitwise the same decision: admission planning
         // may not introduce nondeterminism into the serving path.
-        let d2 = planner.decide(&a, n, &base);
+        let d2 = planner.decide(&a, n);
         prop_assert_eq!((d.block_h, d.block_w), (d2.block_h, d2.block_w));
         prop_assert_eq!(d.reorder, d2.reorder);
         prop_assert_eq!(d.use_tc, d2.use_tc);
@@ -523,20 +521,19 @@ proptest! {
         // with zero x-spread, which must be rejected by the identifiability
         // guard rather than fitted — leaves the planner with a finite,
         // positive prediction for every matrix.
-        let base = SmatConfig::default();
         let planner = Planner::with_calibration(PlanSpace::default(), shared_calibration());
-        let d = planner.decide(&a, 8, &base);
+        let d = planner.decide(&a, 8);
         for (i, t) in times.iter().enumerate() {
             let n_e = if same_x { d.n_e.max(1) } else { d.n_e.max(1) + i * 7 };
             planner.observe(d.use_tc, n_e, 8, *t);
         }
         prop_assert_eq!(planner.observations(), times.len() as u64);
-        let after = planner.decide(&a, 8, &base);
+        let after = planner.decide(&a, 8);
         prop_assert!(
             after.predicted_ms.is_finite(),
             "prediction after refits: {}", after.predicted_ms
         );
-        let cal = planner.calibration().expect("calibrated planner stays calibrated");
+        let cal = planner.calibration();
         prop_assert!(cal.tc.t_e_ms.is_finite() && cal.scalar.t_e_ms.is_finite());
         prop_assert!(cal.tc.t_init_ms.is_finite() && cal.scalar.t_init_ms.is_finite());
     }

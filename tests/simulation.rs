@@ -7,6 +7,7 @@ use smat_gpusim::{Gpu, SimError};
 use smat_reorder::ReorderAlgorithm;
 use smat_repro::baselines::{CublasLike, CusparseLike, DaspLike, MagicubeLike};
 use smat_repro::prelude::*;
+use smat_repro::smat::{MatrixFormat, PlanSpace};
 use smat_repro::workloads;
 
 #[test]
@@ -164,4 +165,48 @@ fn oom_errors_are_descriptive() {
     };
     let msg = err.to_string();
     assert!(msg.contains("100") && msg.contains("50"));
+}
+
+#[test]
+fn packed_index_is_never_slower_than_plain_across_the_plan_space() {
+    // The planner prices one Tensor Core line, fitted on the packed index,
+    // and every TC decision runs packed. That is only sound while the
+    // packed index never loses to the plain one: check every shape and
+    // reordering the default plan space holds, on the Table I mimics and
+    // an RMAT graph, at the batch widths the server launches.
+    let space = PlanSpace::default();
+    let mut matrices: Vec<(String, Csr<F16>)> = workloads::table1()
+        .iter()
+        .map(|m| (m.name.to_string(), m.generate(0.002)))
+        .collect();
+    matrices.push(("rmat".to_string(), workloads::rmat(8, 1500, 42)));
+    for (name, a) in &matrices {
+        for &(h, w) in &space.block_shapes {
+            for &alg in &space.reorderings {
+                let reordering = smat_reorder::reorder(a, alg, h, w);
+                let plain_cfg = SmatConfig {
+                    block_h: h,
+                    block_w: w,
+                    reorder: alg,
+                    ..SmatConfig::default()
+                };
+                let packed_cfg = SmatConfig {
+                    format: MatrixFormat::PackedBcsr,
+                    ..plain_cfg.clone()
+                };
+                let plain = Smat::prepare_with_reordering(a, plain_cfg, reordering.clone());
+                let packed = Smat::prepare_with_reordering(a, packed_cfg, reordering);
+                for n in [8, 16, 32] {
+                    let b = workloads::dense_b::<F16>(a.ncols(), n);
+                    let plain_ms = plain.spmm(&b).report.elapsed_ms();
+                    let packed_ms = packed.spmm(&b).report.elapsed_ms();
+                    assert!(
+                        packed_ms <= plain_ms,
+                        "{name}, {h}x{w}, {}, n={n}: packed {packed_ms} ms > plain {plain_ms} ms",
+                        alg.name()
+                    );
+                }
+            }
+        }
+    }
 }
