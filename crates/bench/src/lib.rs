@@ -8,8 +8,8 @@
 //! * or one experiment: `... -- fig8`, `... -- fig9a`, `... -- table1`, ...
 //!
 //! [`experiments`] holds one runner per table/figure; [`runner`] the shared
-//! engine dispatch. Criterion wall-clock benches of the library itself live
-//! in `benches/`.
+//! engine dispatch. Host wall-clock time of the library is measured by the
+//! separate `perfbench` package at the repository root.
 
 #![forbid(unsafe_code)]
 

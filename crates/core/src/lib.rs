@@ -29,6 +29,7 @@
 pub mod autotune;
 pub mod config;
 pub mod kernel;
+pub mod lru;
 pub mod overlay;
 pub mod perfmodel;
 pub mod pipeline;
@@ -40,6 +41,7 @@ pub use kernel::{
     build_launch_config, build_launch_config_for, smat_spmm, smat_spmm_axpby, smat_spmm_scheduled,
     smat_spmm_scheduled_with, Epilogue, KernelPath, NTILE, WARPS_PER_TB,
 };
+pub use lru::LruMap;
 pub use overlay::{MatrixUpdate, OverlayCell, OverlaySnapshot};
 pub use perfmodel::{PerfModel, PerfSample};
 pub use pipeline::{PrepareTimings, RunReport, Smat, SmatRun};

@@ -1,7 +1,8 @@
 //! A small, deterministic least-recently-used map.
 //!
-//! Backs both the prepared-matrix registry and the plan cache. Recency is a
-//! monotone logical tick bumped on every insert and hit — no wall-clock
+//! Backs each prepared handle's pre-flight memo and, in the serving layer,
+//! the prepared-matrix registry and the plan cache. Recency is a monotone
+//! logical tick bumped on every insert and hit — no wall-clock
 //! involvement, so eviction order is a pure function of the access
 //! sequence (which keeps the serving example's end state reproducible).
 

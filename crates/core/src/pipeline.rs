@@ -2,7 +2,6 @@
 //! block-densifying permutation → BCSR conversion → kernel launch →
 //! permutation-aware result assembly.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use smat_analyze::{analyze_launch, verify_bcsr, verify_packed, ScheduleSpec};
@@ -15,6 +14,7 @@ use smat_reorder::{reorder, Reordering};
 
 use crate::config::{MatrixFormat, SmatConfig};
 use crate::kernel::KernelPath;
+use crate::lru::LruMap;
 use crate::overlay::{MatrixUpdate, OverlayCell, OverlaySnapshot};
 use crate::planner::PlanDecision;
 
@@ -67,7 +67,9 @@ struct SmatInner<T> {
     /// launches with the same width at the same epoch — the common serving
     /// case — reuse the diagnostics, while any mutation keys a fresh entry
     /// (a memo computed for the old epoch can never answer for the new
-    /// payload).
+    /// payload). Clients choose widths and every mutation bumps the epoch,
+    /// so the memo is an LRU of [`PREFLIGHT_MEMO_CAP`] entries; a miss only
+    /// recomputes.
     preflight_cache: Mutex<PreflightMemos>,
     /// Memoized CSR reconstruction of the permuted matrix (`P·A·Qᵀ`), the
     /// operand of the scalar degradation path. Built on first use: the
@@ -93,7 +95,11 @@ impl<T> SmatInner<T> {
 }
 
 /// Pre-flight memo table: `(n, overlay epoch)` → findings.
-type PreflightMemos = HashMap<(usize, u64), Arc<Vec<Diagnostic>>>;
+type PreflightMemos = LruMap<(usize, u64), Arc<Vec<Diagnostic>>>;
+
+/// Most `(n, overlay epoch)` keys one prepared handle memoizes pre-flight
+/// findings for.
+pub const PREFLIGHT_MEMO_CAP: usize = 64;
 
 /// Mutable overlay state behind [`SmatInner::overlay`].
 struct OverlayStore {
@@ -340,7 +346,7 @@ impl<T: Element> Smat<T> {
                 },
                 ncols: a.ncols(),
                 fingerprint,
-                preflight_cache: Mutex::new(HashMap::new()),
+                preflight_cache: Mutex::new(LruMap::new(PREFLIGHT_MEMO_CAP)),
                 fallback_csr: OnceLock::new(),
                 overlay: Mutex::new(OverlayStore::new()),
             }),
@@ -452,15 +458,16 @@ impl<T: Element> Smat<T> {
             return Arc::clone(hit);
         }
         // Analysis runs outside the lock: it is pure and idempotent, so two
-        // racing threads at worst both compute the same findings and one
-        // insert wins.
+        // racing threads at worst both compute the same findings and the
+        // later insert replaces an equal entry.
         let diags = Arc::new(self.run_preflight(n, overlay));
         let mut cache = self.inner.preflight_cache.lock().unwrap();
-        Arc::clone(cache.entry(key).or_insert(diags))
+        cache.insert(key, Arc::clone(&diags));
+        diags
     }
 
     /// Number of distinct `(n, epoch)` keys with memoized pre-flight
-    /// findings.
+    /// findings, at most [`PREFLIGHT_MEMO_CAP`].
     pub fn preflight_cache_len(&self) -> usize {
         self.inner.preflight_cache.lock().unwrap().len()
     }
@@ -1406,6 +1413,37 @@ mod tests {
         // Deleting the poisoned cell clears the rejection at the new epoch.
         engine.apply_updates(&[MatrixUpdate::Delete { row: 0, col: 1 }]);
         assert!(engine.try_spmm(&rhs(32, 8)).is_ok());
+    }
+
+    #[test]
+    fn preflight_memo_stays_bounded_under_client_widths_and_mutations() {
+        use crate::overlay::MatrixUpdate;
+        let a = interleaved(32);
+        let engine = Smat::prepare(&a, SmatConfig::default());
+        let first = engine.overlay_snapshot();
+        for n in 1..=400 {
+            engine.preflight_cached_at(n, &first);
+            assert!(engine.preflight_cache_len() <= PREFLIGHT_MEMO_CAP);
+        }
+        for step in 0..300 {
+            engine.apply_updates(&[MatrixUpdate::Update {
+                row: step % 32,
+                col: (step * 7) % 32,
+                value: F16::from_f64((step % 5) as f64 - 2.0),
+            }]);
+            engine.preflight_cached(8);
+            assert!(engine.preflight_cache_len() <= PREFLIGHT_MEMO_CAP);
+        }
+        // `(1, first epoch)` was evicted long ago: re-querying it recomputes
+        // the same findings a fresh pass reports.
+        let requeried = engine.preflight_cached_at(1, &first);
+        assert_eq!(*requeried, engine.run_preflight(1, &first));
+        let current = engine.overlay_snapshot();
+        assert_eq!(
+            *engine.preflight_cached(400),
+            engine.run_preflight(400, &current)
+        );
+        assert_eq!(engine.preflight_cache_len(), PREFLIGHT_MEMO_CAP);
     }
 
     #[test]

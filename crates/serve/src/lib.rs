@@ -70,7 +70,6 @@
 pub mod batch;
 pub mod chaos;
 pub mod error;
-pub mod lru;
 pub mod oneshot;
 pub mod parkslot;
 pub mod plan;
@@ -81,7 +80,6 @@ pub mod stats;
 pub use batch::{spmm_batched, spmm_scalar_fallback, take_batch};
 pub use chaos::{ChaosCounters, CircuitBreaker, RecoveryPolicy};
 pub use error::{RejectReason, ServeError};
-pub use lru::LruMap;
 pub use oneshot::block_on;
 pub use parkslot::ParkSlot;
 pub use plan::{Plan, PlanCache, PlanStats};

@@ -29,8 +29,8 @@ use smat_diag::{Diagnostic, DiagnosticsExt};
 use smat_formats::Element;
 use smat_gpusim::Gpu;
 
-use crate::lru::LruMap;
 use crate::registry::MatrixKey;
+use smat::LruMap;
 
 /// A memoized launch plan for one (matrix, n) pair.
 #[derive(Clone, Debug)]

@@ -36,8 +36,8 @@ use smat_formats::{Csr, Element, Fnv1a, MatrixFingerprint};
 use smat_sanitize::sync::Mutex;
 use smat_shard::{partition, ShardPlan, ShardPolicy};
 
-use crate::lru::LruMap;
 use crate::parkslot::ParkSlot;
+use smat::LruMap;
 
 /// Registry key: content fingerprint of the matrix plus a digest of the
 /// preparation configuration (different block shapes or reorderings must

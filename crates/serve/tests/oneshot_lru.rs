@@ -15,7 +15,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use smat_serve::lru::LruMap;
+use smat::LruMap;
 use smat_serve::oneshot::{block_on, channel};
 
 #[test]

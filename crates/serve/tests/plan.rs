@@ -6,11 +6,11 @@
 
 use std::sync::Arc;
 
-use smat::SmatConfig;
+use smat::{MatrixFormat, Smat, SmatConfig};
 use smat_formats::{Csr, Dense, Element, F16};
 use smat_serve::{block_on, Calibration, PlanSpace, Planner, Server, ServerConfig};
 use smat_shard::estimated_csr_bytes;
-use smat_workloads::{calibration_bands, random_uniform};
+use smat_workloads::{by_name, calibration_bands, dense_b, random_uniform, rmat};
 
 fn rhs(k: usize, n: usize, salt: usize) -> Dense<F16> {
     Dense::from_fn(k, n, |i, j| {
@@ -200,4 +200,42 @@ fn observed_launches_drive_online_refits() {
     );
     assert!(stats.plan_mean_rel_error.is_finite());
     assert_eq!(stats.planned_requests, 16);
+}
+
+#[test]
+fn planned_configs_beat_the_paper_default_on_mixed_workloads() {
+    // The admission planner's evidence (`BENCH_PR8.json`): on the mixed
+    // rmat/dc2-class inputs at width 32, the configurations it picks run
+    // in no more summed simulated time than the fixed paper default, and
+    // every Tensor Core pick streams the packed index its line is fitted on.
+    const N: usize = 32;
+    let base = SmatConfig::default();
+    let planner = Planner::with_calibration(
+        PlanSpace::default(),
+        Calibration::fit_on(&calibration_bands::<F16>(256), N, &base),
+    );
+    let inputs: Vec<Csr<F16>> = vec![
+        by_name("dc2").unwrap().generate(0.005),
+        by_name("cop20k_A").unwrap().generate(0.005),
+        rmat(9, 6000, 42),
+        rmat(10, 4000, 7),
+    ];
+    let (mut default_ms, mut planned_ms) = (0.0, 0.0);
+    for a in &inputs {
+        let b = dense_b::<F16>(a.ncols(), N);
+        let d = planner.decide(a, N);
+        let cfg = d.apply(&base);
+        if d.use_tc {
+            assert_eq!(cfg.format, MatrixFormat::PackedBcsr, "{cfg:?}");
+        }
+        default_ms += Smat::prepare(a, base.clone()).spmm(&b).report.elapsed_ms();
+        planned_ms += Smat::prepare_with_plan(a, cfg, d)
+            .spmm(&b)
+            .report
+            .elapsed_ms();
+    }
+    assert!(
+        planned_ms <= default_ms,
+        "planned {planned_ms} ms > default {default_ms} ms"
+    );
 }

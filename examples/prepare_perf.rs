@@ -5,15 +5,18 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release --example prepare_perf            # JSON benchmark
-//! cargo run --release --example prepare_perf -- --smoke # correctness gate
+//! cargo run --release --example prepare_perf > BENCH_PR5.json # benchmark
+//! cargo run --release --example prepare_perf -- --smoke        # correctness gate
 //! ```
 //!
 //! Default mode prints one JSON record to stdout: per (matrix, strategy)
 //! timings — reorder / pack / convert / total milliseconds and the block
 //! count the strategy achieved — plus per-matrix summaries (LSH-vs-exact
-//! speedup and block-count ratio). `scripts/bench_prepare.sh` writes this
-//! as `BENCH_PR5.json`.
+//! speedup and block-count ratio). The first command above regenerates
+//! the committed `BENCH_PR5.json`. It exits 1 when a matrix of at least
+//! 100k rows (the `rmat-131k` acceptance workload) gains less than
+//! [`MIN_LARGE_SPEEDUP`]× from LSH + parallel conversion over the exact
+//! sequential path.
 //!
 //! `--smoke` (used by `scripts/check.sh`) asserts on small fixed-seed
 //! inputs that (1) the rayon-parallel BCSR conversion is bitwise identical
@@ -30,6 +33,10 @@ use smat_repro::workloads::{mesh2d, random_uniform, rmat, scramble_rows};
 
 const BLOCK: usize = 16;
 const TAU: f64 = 0.7;
+/// Least LSH + parallel speedup over exact + sequential a matrix of at
+/// least [`LARGE_ROWS`] rows must show.
+const MIN_LARGE_SPEEDUP: f64 = 5.0;
+const LARGE_ROWS: usize = 100_000;
 
 fn lsh() -> ReorderAlgorithm {
     ReorderAlgorithm::JaccardLsh {
@@ -115,6 +122,7 @@ fn bench() -> ExitCode {
     ];
     let mut records = Vec::new();
     let mut summaries = Vec::new();
+    let mut failures = 0usize;
     for (name, a) in bench_matrices() {
         eprintln!("{name}: {} rows, {} nnz", a.nrows(), a.nnz());
         let mut totals = std::collections::HashMap::new();
@@ -144,6 +152,10 @@ fn bench() -> ExitCode {
         eprintln!(
             "  lsh+parallel speedup over exact+sequential: {speedup:.2}x (block ratio {ratio:.3})"
         );
+        if a.nrows() >= LARGE_ROWS && speedup < MIN_LARGE_SPEEDUP {
+            eprintln!("bench FAIL: {name}: speedup below the {MIN_LARGE_SPEEDUP}x acceptance bar");
+            failures += 1;
+        }
         summaries.push(serde_json::json!({
             "matrix": name,
             "rows": a.nrows(),
@@ -161,7 +173,11 @@ fn bench() -> ExitCode {
             "summaries": summaries,
         })
     );
-    ExitCode::SUCCESS
+    if failures == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
 }
 
 /// The check.sh gate: fixed seeds, small inputs, hard assertions.

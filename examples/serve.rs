@@ -42,8 +42,9 @@
 //! whole dynamic path. Verification replays every update against
 //! independently prepared reference handles. `--naive-update` serves the
 //! same schedule the strawman way — re-registering the fully merged matrix
-//! after every mutation (paying `T_init` each time) — for the
-//! `bench_update.sh` comparison.
+//! after every mutation (paying `T_init` each time); `scripts/check.sh`
+//! asserts both strategies end on the same checksum and that the naive
+//! one prepares more often.
 //!
 //! `--sanitize` runs both replays under the `smat-sanitize` lock-order
 //! engine and fails the run (exit 1) on any concurrency finding.

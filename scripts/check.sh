@@ -89,6 +89,8 @@ assert rec["runs_identical"] is True, "sharded replay not deterministic"
 assert rec["fanout_requests"] > 0, "no request actually fanned out"
 assert rec["shard_subrequests"] > rec["fanout_requests"], \
     "fan-outs must produce multiple sub-requests each"
+assert rec["shard_subrequests"] >= 3 * rec["fanout_requests"] // 2, \
+    "large tenants should split into multiple shards"
 assert rec["sanitize_findings"] == 0, f"C-codes fired: {rec['sanitize_codes']}"
 disp = [d["dispatched"] for d in rec["stats"]["devices"]]
 comp = [d["completed"] for d in rec["stats"]["devices"]]
@@ -183,7 +185,11 @@ assert naive["mismatches"] == 0 and naive["runs_identical"] is True
 a = overlay["deterministic"]["output_checksum"]
 b = naive["deterministic"]["output_checksum"]
 assert a == b, f"overlay serving diverged from re-prepare-per-update: {a} vs {b}"
-print(f"naive-mode smoke OK: checksum {a} identical across both update strategies")
+op = overlay["deterministic"]["registry_prepares"]
+np_ = naive["deterministic"]["registry_prepares"]
+assert np_ > op, f"naive mode must re-prepare per update: {np_} vs {op} prepares"
+print(f"naive-mode smoke OK: checksum {a} identical across both update strategies, "
+      f"{np_} naive prepares vs {op} overlay prepares")
 PY
 
 echo "==> sanitize: raw std::sync primitives are banned in crates/serve"
@@ -237,5 +243,20 @@ for e in events:
 print(f"trace smoke OK: {len(events)} events, "
       f"{len(names)} distinct names, categories {sorted(c for c in cats if c)}")
 PY
+
+echo "==> perfbench self-test: every metric printed, simulated values repeat, corruption caught"
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --self-test
+
+echo "==> perfbench golden: simulated values match data/perfbench_golden.json exactly"
+# Refresh after an intended change with
+#   scripts/perfbench_golden.sh > data/perfbench_golden.json
+golden_file="$(mktemp /tmp/perfbench_golden.XXXXXX.json)"
+trap 'rm -f "$trace_file" "$golden_file"' EXIT
+scripts/perfbench_golden.sh > "$golden_file"
+if ! diff -u data/perfbench_golden.json "$golden_file"; then
+    echo "error: perfbench simulated values moved; see the diff above" >&2
+    exit 1
+fi
+echo "perfbench golden OK: $(grep -c '": [0-9-]' "$golden_file") values identical"
 
 echo "All checks passed."

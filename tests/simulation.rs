@@ -210,3 +210,67 @@ fn packed_index_is_never_slower_than_plain_across_the_plan_space() {
         }
     }
 }
+
+/// The mixed rmat/dc2-class inputs the packed-index and panel-pipeline
+/// evidence is measured on (`BENCH_PR10.json`), at width 32.
+fn mixed_workloads() -> Vec<(&'static str, Csr<F16>)> {
+    vec![
+        ("dc2", workloads::by_name("dc2").unwrap().generate(0.005)),
+        (
+            "cop20k_A",
+            workloads::by_name("cop20k_A").unwrap().generate(0.005),
+        ),
+        ("rmat_s9", workloads::rmat(9, 6000, 42)),
+        ("rmat_s10_sparse", workloads::rmat(10, 4000, 7)),
+    ]
+}
+
+#[test]
+fn packed_index_and_panel_pipeline_cut_metadata_and_time_bitwise() {
+    // Plain BCSR metadata against the bit-packed index, with and without
+    // panel-staged double buffering: the packed index streams fewer
+    // metadata bytes, the panel pipeline leaves the encoding alone, the
+    // pair beats the plain kernel on simulated time, and no arm changes a
+    // bit of the product.
+    let plain = SmatConfig::default();
+    let packed = SmatConfig {
+        format: MatrixFormat::PackedBcsr,
+        ..plain.clone()
+    };
+    let panel = SmatConfig {
+        panel_depth: 4,
+        ..packed.clone()
+    };
+    for (name, a) in mixed_workloads() {
+        let b = workloads::dense_b::<F16>(a.ncols(), 32);
+        let [plain, packed, panel] = [&plain, &packed, &panel].map(|cfg| {
+            let engine = Smat::prepare(&a, cfg.clone());
+            let run = engine.spmm(&b);
+            (engine.operand_index_bytes(), run.report.elapsed_ms(), run.c)
+        });
+        assert_eq!(
+            packed.2, plain.2,
+            "{name}: the packed index changed the product"
+        );
+        assert_eq!(
+            panel.2, plain.2,
+            "{name}: the panel pipeline changed the product"
+        );
+        assert!(
+            packed.0 < plain.0,
+            "{name}: packed index {} B >= plain {} B",
+            packed.0,
+            plain.0
+        );
+        assert_eq!(
+            panel.0, packed.0,
+            "{name}: the panel arm changed the index encoding"
+        );
+        assert!(
+            panel.1 < plain.1,
+            "{name}: packed+panel {} ms >= plain {} ms",
+            panel.1,
+            plain.1
+        );
+    }
+}
