@@ -7,7 +7,7 @@
 //! Three passes share the [`smat_diag`] diagnostic core:
 //!
 //! * **Format verifiers** ([`verify`]) — structural invariants of
-//!   CSR/CSC/COO/BCSR/ELL/SR-BCRS matrices, the bit-packed BCSR index
+//!   CSR/COO/BCSR/SR-BCRS matrices, the bit-packed BCSR index
 //!   (bitmap popcount vs stored blocks, monotone deltas, offset
 //!   integrity), and permutations: monotone pointer arrays, sorted
 //!   deduplicated in-bounds indices, arity and dimension consistency,
@@ -37,8 +37,8 @@ pub use report::{render_human, render_json};
 pub use schedule::{analyze_launch, ScheduleSpec};
 pub use smat_diag::{DiagCode, Diagnostic, DiagnosticsExt, Location, Severity};
 pub use verify::{
-    verify_bcsr, verify_coo, verify_csc, verify_csr, verify_ell, verify_entries, verify_packed,
-    verify_permutation, verify_spmm_dims, verify_srbcrs,
+    verify_bcsr, verify_coo, verify_csr, verify_entries, verify_packed, verify_permutation,
+    verify_spmm_dims, verify_srbcrs,
 };
 
 #[cfg(test)]

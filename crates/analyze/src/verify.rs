@@ -10,12 +10,9 @@
 //! cross-structure dimension agreement ([`DiagCode::DimensionMismatch`]).
 
 use smat_diag::{DiagCode, Diagnostic, Location};
-use smat_formats::ell::EMPTY_SLOT;
 use smat_formats::srbcrs::PAD_COL;
 use smat_formats::validate::{validate_bcsr_parts, validate_csr_parts, validate_permutation};
-use smat_formats::{
-    Bcsr, Coo, Csc, Csr, Element, Ell, PackedDecodeError, PackedIndex, Permutation, SrBcrs,
-};
+use smat_formats::{Bcsr, Coo, Csr, Element, PackedDecodeError, PackedIndex, Permutation, SrBcrs};
 
 /// Scans a value slice for NaN/Inf payloads, reporting each offending
 /// position as [`DiagCode::NonFinitePayload`].
@@ -113,91 +110,6 @@ pub fn verify_entries<T: Element>(
                 ),
             ));
         }
-    }
-    diags
-}
-
-/// Verifies a CSC matrix column by column: strictly increasing in-range row
-/// indices per column, a per-column total that matches `nnz`, and finite
-/// payloads.
-pub fn verify_csc<T: Element>(m: &Csc<T>) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut total = 0usize;
-    for j in 0..m.ncols() {
-        let rows = m.col_rows(j);
-        total += rows.len();
-        for w in rows.windows(2) {
-            if w[0] >= w[1] {
-                diags.push(Diagnostic::new(
-                    DiagCode::ColIdxUnsorted,
-                    Location::Row { row: j },
-                    format!(
-                        "row indices in column {j} must be strictly increasing: {} after {}",
-                        w[1], w[0]
-                    ),
-                ));
-            }
-        }
-        for &r in rows {
-            if r >= m.nrows() {
-                diags.push(Diagnostic::new(
-                    DiagCode::ColIdxOutOfBounds,
-                    Location::Row { row: j },
-                    format!(
-                        "row index {r} out of range in column {j} (nrows = {})",
-                        m.nrows()
-                    ),
-                ));
-            }
-        }
-        scan_finite(m.col_values(j), "CSC", &mut diags);
-    }
-    if total != m.nnz() {
-        diags.push(Diagnostic::new(
-            DiagCode::NnzInconsistent,
-            Location::Whole,
-            format!("columns hold {total} entries but nnz reports {}", m.nnz()),
-        ));
-    }
-    diags
-}
-
-/// Verifies an ELL matrix: occupied slots carry in-range columns and finite
-/// values, and the occupied-slot count matches the recorded `nnz`.
-pub fn verify_ell<T: Element>(m: &Ell<T>) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut occupied = 0usize;
-    for r in 0..m.nrows() {
-        for s in 0..m.width() {
-            let Some((c, v)) = m.slot(r, s) else {
-                continue;
-            };
-            occupied += 1;
-            if c != EMPTY_SLOT && c >= m.ncols() {
-                diags.push(Diagnostic::new(
-                    DiagCode::ColIdxOutOfBounds,
-                    Location::Row { row: r },
-                    format!(
-                        "slot {s} of row {r} names column {c} (ncols = {})",
-                        m.ncols()
-                    ),
-                ));
-            }
-            if !v.to_f64().is_finite() {
-                diags.push(Diagnostic::new(
-                    DiagCode::NonFinitePayload,
-                    Location::Row { row: r },
-                    format!("slot {s} of row {r} holds {} (must be finite)", v.to_f64()),
-                ));
-            }
-        }
-    }
-    if occupied != m.nnz() {
-        diags.push(Diagnostic::new(
-            DiagCode::NnzInconsistent,
-            Location::Whole,
-            format!("{occupied} occupied slots but nnz reports {}", m.nnz()),
-        ));
     }
     diags
 }
@@ -478,8 +390,6 @@ mod tests {
     fn well_formed_structures_are_clean() {
         let csr = sample_csr();
         assert!(verify_csr(&csr).is_empty());
-        assert!(verify_csc(&Csc::from_csr(&csr)).is_empty());
-        assert!(verify_ell(&Ell::from_csr(&csr)).is_empty());
         assert!(verify_srbcrs(&SrBcrs::from_csr(&csr, 2, 2)).is_empty());
         assert!(verify_bcsr(&Bcsr::from_csr(&csr, 2, 2)).is_empty());
         assert!(verify_coo(&csr.to_coo()).is_empty());
@@ -615,15 +525,5 @@ mod tests {
         let p = PackedIndex::from_block_rows(bcsr.nblock_cols(), 2, 2, &rows);
         let d = verify_packed(&p, Some(&bcsr));
         assert!(d.has_errors(), "{d:?}");
-    }
-
-    #[test]
-    fn ell_propagates_nonfinite_payloads() {
-        let mut coo = Coo::new(4, 4);
-        coo.push(0, 0, F16::from_f32(f32::NAN));
-        coo.push(2, 1, F16::ONE);
-        let e = Ell::from_csr(&coo.to_csr());
-        let d = verify_ell(&e);
-        assert!(d.codes().contains(&DiagCode::NonFinitePayload), "{d:?}");
     }
 }

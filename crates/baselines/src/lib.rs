@@ -11,10 +11,7 @@
 //! * [`MagicubeLike`] — SR-BCRS int16 SpMM on Tensor Cores (stride padding,
 //!   large preprocessing footprint, simulated OOMs);
 //! * [`CublasLike`] — dense Tensor-Core GEMM reported as effective FLOP/s
-//!   over the nonzero fraction;
-//! * [`SputnikLike`] — an extra engine beyond the paper's set: Gale et
-//!   al.'s swizzled vector-CSR kernel (SC'20), the strongest CUDA-core
-//!   comparison point.
+//!   over the nonzero fraction.
 
 #![forbid(unsafe_code)]
 
@@ -22,10 +19,8 @@ pub mod cublas;
 pub mod cusparse;
 pub mod dasp;
 pub mod magicube;
-pub mod sputnik;
 
 pub use cublas::{CublasLike, GemmTime};
 pub use cusparse::CusparseLike;
 pub use dasp::DaspLike;
 pub use magicube::MagicubeLike;
-pub use sputnik::SputnikLike;

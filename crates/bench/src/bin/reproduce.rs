@@ -64,7 +64,6 @@ fn main() {
             "fig9a",
             "fig9b",
             "fig10",
-            "extra",
             "roofline",
             "precision",
             "devices",
@@ -99,7 +98,6 @@ fn main() {
             "fig9a" => exp::run_fig9(&cfg, 8),
             "fig9b" => exp::run_fig9(&cfg, 128),
             "fig10" => exp::run_fig10(&cfg),
-            "extra" => exp::run_extra_comparison(&cfg),
             "roofline" => exp::run_roofline(&cfg),
             "precision" => exp::run_precision(&cfg),
             "devices" => exp::run_devices(&cfg),
@@ -151,7 +149,7 @@ EXPERIMENTS:
   fig4     reordering effect on SMaT      fig10   wall-clock vs N (cop20k_A)
   fig5     reordering effect on DASP      ablations  block size / reorder algs /
   fig6     reordering effect on Magicube             tau sweep / accumulation
-  fig7     reordering effect on cuSPARSE  extra   5-engine comparison (+Sputnik)
+  fig7     reordering effect on cuSPARSE
   roofline busiest-SM cycle breakdown   precision  f16/bf16/i8 study
   devices  A100 vs H100 sensitivity     serve   multi-tenant serving study
                                           all     everything above

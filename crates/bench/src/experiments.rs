@@ -272,7 +272,6 @@ pub fn run_reorder_effect(cfg: &HarnessConfig, engine: Engine) -> Vec<Value> {
         Engine::Dasp => "fig5",
         Engine::Magicube => "fig6",
         Engine::Cusparse => "fig7",
-        Engine::Sputnik => "fig-extra-reorder",
     };
     println!(
         "\n== {}: reordering effect on {} (GFLOP/s, N=8) ==",
@@ -689,56 +688,6 @@ pub fn run_precision(cfg: &HarnessConfig) -> Vec<Value> {
     records
 }
 
-// ---------------------------------------------------------------------------
-// Extra comparison beyond the paper: five engines incl. Sputnik-like
-// ---------------------------------------------------------------------------
-
-/// Extended Fig. 8: the paper's four engines plus the Sputnik-like
-/// swizzled-CSR kernel (Gale et al., SC'20), on every Table I mimic.
-/// Shows how much of SMaT's win is Tensor Cores rather than access-pattern
-/// hygiene: Sputnik brackets cuSPARSE from above but stays well below SMaT.
-pub fn run_extra_comparison(cfg: &HarnessConfig) -> Vec<Value> {
-    println!("\n== Extra: five-engine comparison (GFLOP/s, N=8) ==");
-    println!(
-        "{:<14} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "matrix", "SMaT", "DASP", "Magicube", "cuSPARSE", "Sputnik"
-    );
-    let gpu = gpu();
-    let mut records = Vec::new();
-    for m in table1() {
-        let a: Csr<F16> = m.generate(cfg.scale);
-        let b = dense_b::<F16>(a.ncols(), 8);
-        let mut cells = Vec::new();
-        for e in Engine::all_with_extras() {
-            let alg = if e == Engine::Smat {
-                ReorderAlgorithm::smat_default()
-            } else {
-                ReorderAlgorithm::Identity
-            };
-            let meas = run_engine(e, &gpu, &a, &b, alg);
-            records.push(json!({
-                "experiment": "extra-comparison",
-                "matrix": m.name,
-                "engine": meas.engine,
-                "gflops": meas.gflops,
-                "time_ms": meas.time_ms,
-                "error": meas.error,
-            }));
-            cells.push(meas.gflops);
-        }
-        println!(
-            "{:<14} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            m.name,
-            fmt_cell(cells[0]),
-            fmt_cell(cells[1]),
-            fmt_cell(cells[2]),
-            fmt_cell(cells[3]),
-            fmt_cell(cells[4])
-        );
-    }
-    records
-}
-
 /// Roofline classification: which resource bounds each engine on a mesh
 /// matrix and on the band sweep extremes — the mechanism behind the Fig. 9
 /// crossovers (SpMM at N=8 is bandwidth-bound; scalar kernels drown in
@@ -770,7 +719,7 @@ pub fn run_roofline(cfg: &HarnessConfig) -> Vec<Value> {
     ));
     for (name, a) in &cases {
         let b = dense_b::<F16>(a.ncols(), 8);
-        for e in Engine::all_with_extras().iter() {
+        for e in Engine::all().iter() {
             let alg = if *e == Engine::Smat {
                 ReorderAlgorithm::smat_default()
             } else {

@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 use smat::{Smat, SmatConfig};
-use smat_baselines::{CusparseLike, DaspLike, MagicubeLike, SputnikLike};
+use smat_baselines::{CusparseLike, DaspLike, MagicubeLike};
 use smat_formats::{Csr, Dense, F16};
 use smat_gpusim::{Gpu, SimError};
 use smat_reorder::{reorder, ReorderAlgorithm};
@@ -19,8 +19,6 @@ pub enum Engine {
     Magicube,
     /// cuSPARSE-like CSR SpMM.
     Cusparse,
-    /// Sputnik-like swizzled CSR SpMM (beyond the paper's comparison set).
-    Sputnik,
 }
 
 impl Engine {
@@ -34,17 +32,6 @@ impl Engine {
         ]
     }
 
-    /// The paper's engines plus the extra Sputnik-like baseline.
-    pub fn all_with_extras() -> [Engine; 5] {
-        [
-            Engine::Smat,
-            Engine::Dasp,
-            Engine::Magicube,
-            Engine::Cusparse,
-            Engine::Sputnik,
-        ]
-    }
-
     /// Display name used in reports and figures.
     pub fn name(&self) -> &'static str {
         match self {
@@ -52,7 +39,6 @@ impl Engine {
             Engine::Dasp => "DASP",
             Engine::Magicube => "Magicube",
             Engine::Cusparse => "cuSPARSE",
-            Engine::Sputnik => "Sputnik",
         }
     }
 }
@@ -131,7 +117,6 @@ pub fn run_engine(
                 Engine::Dasp => DaspLike::new(gpu, &a_perm).spmm(b_eff),
                 Engine::Magicube => MagicubeLike::new(gpu, &a_perm).spmm(b_eff),
                 Engine::Cusparse => CusparseLike::new(gpu, &a_perm).spmm(b_eff),
-                Engine::Sputnik => SputnikLike::new(gpu, &a_perm).spmm(b_eff),
                 Engine::Smat => unreachable!(),
             };
             match out {
@@ -176,7 +161,6 @@ pub fn run_engine_profiled(
                 Engine::Dasp => DaspLike::new(gpu, &a_perm).spmm(b),
                 Engine::Magicube => MagicubeLike::new(gpu, &a_perm).spmm(b),
                 Engine::Cusparse => CusparseLike::new(gpu, &a_perm).spmm(b),
-                Engine::Sputnik => SputnikLike::new(gpu, &a_perm).spmm(b),
                 Engine::Smat => unreachable!(),
             };
             out.ok().map(|(res, _)| res.profile)

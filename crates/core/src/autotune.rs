@@ -14,7 +14,7 @@ use smat_reorder::ReorderAlgorithm;
 
 use crate::config::SmatConfig;
 use crate::pipeline::Smat;
-use crate::planner::ReorderCache;
+use crate::planner::{PlanSpace, ReorderCache};
 
 /// One evaluated candidate configuration.
 #[derive(Clone, Debug, Serialize)]
@@ -82,29 +82,6 @@ impl TuneReport {
     }
 }
 
-/// Candidate search space.
-#[derive(Clone, Debug)]
-pub struct TuneSpace {
-    /// Block shapes to try (each must map to a supported MMA fragment
-    /// shape: `m = h`, `k = w`).
-    pub block_shapes: Vec<(usize, usize)>,
-    /// Reordering schemes to try.
-    pub reorderings: Vec<ReorderAlgorithm>,
-}
-
-impl Default for TuneSpace {
-    fn default() -> Self {
-        TuneSpace {
-            block_shapes: vec![(16, 16), (16, 8)],
-            reorderings: vec![
-                ReorderAlgorithm::Identity,
-                ReorderAlgorithm::JaccardRows { tau: 0.7 },
-                ReorderAlgorithm::GrayCode,
-            ],
-        }
-    }
-}
-
 /// Tunes the SMaT configuration for matrix `a` and an SpMM with `n_cols`
 /// output columns: prepares and probe-runs every candidate in `space`,
 /// returning the fastest.
@@ -122,7 +99,7 @@ pub fn autotune<T: Element>(
     a: &Csr<T>,
     n_cols: usize,
     base: &SmatConfig,
-    space: &TuneSpace,
+    space: &PlanSpace,
 ) -> TuneReport {
     assert!(
         !space.block_shapes.is_empty() && !space.reorderings.is_empty(),
@@ -187,7 +164,7 @@ mod tests {
     #[test]
     fn explores_the_whole_space() {
         let a = scrambled_families(128);
-        let report = autotune(&a, 8, &SmatConfig::default(), &TuneSpace::default());
+        let report = autotune(&a, 8, &SmatConfig::default(), &PlanSpace::default());
         assert_eq!(report.trials.len(), 2 * 3);
         assert!(report.trials.iter().all(|t| t.time_ms > 0.0));
     }
@@ -195,7 +172,7 @@ mod tests {
     #[test]
     fn best_is_the_minimum_trial() {
         let a = scrambled_families(96);
-        let report = autotune(&a, 8, &SmatConfig::default(), &TuneSpace::default());
+        let report = autotune(&a, 8, &SmatConfig::default(), &PlanSpace::default());
         let min = report
             .trials
             .iter()
@@ -217,7 +194,7 @@ mod tests {
     fn reordering_wins_on_scrambled_input() {
         // On an interleaved-family matrix the tuner must not pick Identity.
         let a = scrambled_families(256);
-        let report = autotune(&a, 8, &SmatConfig::default(), &TuneSpace::default());
+        let report = autotune(&a, 8, &SmatConfig::default(), &PlanSpace::default());
         assert_ne!(
             report.best.reorder,
             ReorderAlgorithm::Identity,
@@ -229,7 +206,7 @@ mod tests {
     #[test]
     fn speedup_over_default_reported() {
         let a = scrambled_families(128);
-        let report = autotune(&a, 8, &SmatConfig::default(), &TuneSpace::default());
+        let report = autotune(&a, 8, &SmatConfig::default(), &PlanSpace::default());
         let s = report.speedup_over_default().expect("default in space");
         assert!(s >= 1.0, "winner can't be slower than the default: {s}");
     }
@@ -304,7 +281,7 @@ mod tests {
         // computing strictly fewer permutations than trials.
         let a = scrambled_families(128);
         let base = SmatConfig::default();
-        let space = TuneSpace::default();
+        let space = PlanSpace::default();
         let report = autotune(&a, 8, &base, &space);
         // Identity ignores both dims (1), JaccardRows depends on both (2),
         // GrayCode on w only (2) → 5 distinct permutations for 6 trials.
@@ -337,7 +314,7 @@ mod tests {
     #[should_panic(expected = "empty tuning space")]
     fn rejects_empty_space() {
         let a = scrambled_families(32);
-        let space = TuneSpace {
+        let space = PlanSpace {
             block_shapes: vec![],
             reorderings: vec![],
         };

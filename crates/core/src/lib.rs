@@ -35,7 +35,7 @@ pub mod perfmodel;
 pub mod pipeline;
 pub mod planner;
 
-pub use autotune::{autotune, TuneReport, TuneSpace};
+pub use autotune::{autotune, TuneReport};
 pub use config::{AccumMode, MatrixFormat, OptFlags, PreflightMode, Schedule, SmatConfig};
 pub use kernel::{
     build_launch_config, build_launch_config_for, smat_spmm, smat_spmm_axpby, smat_spmm_scheduled,

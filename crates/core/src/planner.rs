@@ -6,18 +6,19 @@
 //! closes the loop the ROADMAP calls the *serving-layer learning loop*:
 //!
 //! 1. **Decide** — at admission, enumerate a small candidate space
-//!    `{block_h, block_w, reorder, scalar-vs-TC}`. Each candidate is scored
-//!    with *cheap structure statistics* ([`smat_reorder::stats`]): the
+//!    `{block_h, block_w, reorder}`. Each candidate is scored with *cheap
+//!    structure statistics* ([`smat_reorder::stats`]): the
 //!    permutation is computed once per effective signature
 //!    ([`ReorderAlgorithm::permutation_signature`]), the permuted matrix's
 //!    block count `n_e` comes from [`count_blocks`] (no BCSR build, no
-//!    launch), and the calibrated [`PerfModel`] predicts
+//!    launch), and the calibrated Tensor Core [`PerfModel`] predicts
 //!    `T_tot = T_e · (n_e · ⌈n/8⌉) + T_init`. The winning candidate and its
-//!    prediction become a [`PlanDecision`].
+//!    prediction become a [`PlanDecision`]; every decision runs on Tensor
+//!    Cores, as in the paper.
 //! 2. **Observe** — the serving layer feeds observed kernel times back via
-//!    [`Planner::observe`]; each mode's line is refit online over a sliding
-//!    window every 8 new samples in that mode, making every recorded
-//!    prediction falsifiable (`plan_mean_rel_error` in the server stats).
+//!    [`Planner::observe`]; the Tensor Core line is refit online over a
+//!    sliding window every 8 new samples, making every recorded prediction
+//!    falsifiable (`plan_mean_rel_error` in the server stats).
 //!
 //! Every planner starts from an offline [`Calibration`] (the paper's
 //! band-matrix fit); there is no uncalibrated mode.
@@ -40,14 +41,14 @@ use crate::kernel::{smat_spmm_scheduled_with, Epilogue, KernelPath, NTILE};
 use crate::perfmodel::{PerfModel, PerfSample};
 use crate::pipeline::Smat;
 
-/// Sliding-window capacity for online refit samples (per execution mode).
+/// Sliding-window capacity for online refit samples.
 const OBSERVE_WINDOW: usize = 128;
-/// Refit cadence: a mode's line is refit after this many new observations
-/// in that mode (provided the window is identifiable).
+/// Refit cadence: the Tensor Core line is refit after this many new
+/// observations (provided the window is identifiable).
 const REFIT_EVERY: usize = 8;
 
-/// Candidate space the planner searches at admission. Every candidate is
-/// scored in both execution modes.
+/// Candidate space the planner searches at admission and
+/// [`crate::autotune()`] sweeps.
 #[derive(Clone, Debug)]
 pub struct PlanSpace {
     /// Block shapes to consider; each must map to an MMA fragment shape the
@@ -59,8 +60,7 @@ pub struct PlanSpace {
 
 impl Default for PlanSpace {
     /// The f16-supported fragment shapes (`m16n8k16`, `m16n8k8`) crossed
-    /// with the paper's default reordering, no reordering, and Gray code —
-    /// the same space [`crate::autotune::TuneSpace`] defaults to.
+    /// with the paper's default reordering, no reordering, and Gray code.
     fn default() -> Self {
         PlanSpace {
             block_shapes: vec![(16, 16), (16, 8)],
@@ -83,8 +83,6 @@ pub struct PlanDecision {
     pub block_w: usize,
     /// Chosen preprocessing permutation.
     pub reorder: ReorderAlgorithm,
-    /// Tensor-core (`true`) or scalar (`false`) execution.
-    pub use_tc: bool,
     /// Predicted `T_tot` in milliseconds for the planning width
     /// (see [`Planner::decide`]'s `n_cols`).
     pub predicted_ms: f64,
@@ -96,22 +94,17 @@ pub struct PlanDecision {
 impl PlanDecision {
     /// Materializes the decision as a full [`SmatConfig`], inheriting
     /// everything the planner does not choose (accumulation mode, schedule,
-    /// device, preflight policy) from `base`. The index format follows the
-    /// mode: Tensor Core decisions stream the bit-packed index their cost
-    /// line was fitted on, scalar ones the plain index.
+    /// device, preflight policy) from `base`. Every decision runs on Tensor
+    /// Cores and streams the bit-packed index its cost line was fitted on.
     pub fn apply(&self, base: &SmatConfig) -> SmatConfig {
         let mut opts = base.opts;
-        opts.tc = self.use_tc;
+        opts.tc = true;
         SmatConfig {
             block_h: self.block_h,
             block_w: self.block_w,
             reorder: self.reorder,
             opts,
-            format: if self.use_tc {
-                MatrixFormat::PackedBcsr
-            } else {
-                MatrixFormat::PlainBcsr
-            },
+            format: MatrixFormat::PackedBcsr,
             ..base.clone()
         }
     }
@@ -123,29 +116,22 @@ impl PlanDecision {
     }
 }
 
-/// Fitted cost lines: one Eq. 1 model per execution mode, each pricing the
-/// index format its mode runs under [`PlanDecision::apply`].
+/// Fitted Eq. 1 cost lines.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct Calibration {
     /// Model of the tensor-core kernel (`opts.tc = true`) streaming the
-    /// bit-packed BCSR index: fitted on packed probes and refit from the
-    /// packed launches Tensor Core decisions run.
+    /// bit-packed BCSR index: fitted on packed probes, refit from the packed
+    /// launches planned configurations run, and the line every
+    /// [`PlanDecision`] is scored on.
     pub tc: PerfModel,
-    /// Model of the scalar kernel (`opts.tc = false`), which streams the
-    /// plain index.
+    /// Model of the scalar kernel (`opts.tc = false`) streaming the plain
+    /// index, fitted offline only. It is the price line of overlay
+    /// corrections ([`Planner::overlay_surcharge_ms`],
+    /// [`Planner::should_compact`]) and never scores a decision.
     pub scalar: PerfModel,
 }
 
 impl Calibration {
-    /// The model for an execution mode.
-    pub fn model(&self, use_tc: bool) -> &PerfModel {
-        if use_tc {
-            &self.tc
-        } else {
-            &self.scalar
-        }
-    }
-
     /// Fits both models by probe-running every matrix in `matrices` once
     /// per mode with `base`'s block shape and no reordering, against an
     /// `n_cols`-wide right-hand side — the paper's band-matrix fitting
@@ -183,7 +169,7 @@ impl Calibration {
     }
 }
 
-/// One execution mode's online refit window.
+/// The Tensor Core line's online refit window.
 #[derive(Debug, Default)]
 struct ObserveWindow {
     samples: Vec<PerfSample>,
@@ -220,12 +206,11 @@ impl ObserveWindow {
 }
 
 /// Mutable planner state behind one lock: the current calibration plus the
-/// per-mode observation windows feeding online refits.
+/// observation window feeding online refits.
 #[derive(Debug)]
 struct PlannerState {
     calibration: Calibration,
-    tc_window: ObserveWindow,
-    scalar_window: ObserveWindow,
+    window: ObserveWindow,
     observations: u64,
     refits: u64,
 }
@@ -246,8 +231,7 @@ impl Planner {
             space,
             state: Mutex::new(PlannerState {
                 calibration,
-                tc_window: ObserveWindow::default(),
-                scalar_window: ObserveWindow::default(),
+                window: ObserveWindow::default(),
                 observations: 0,
                 refits: 0,
             }),
@@ -274,13 +258,13 @@ impl Planner {
         self.lock_state().refits
     }
 
-    /// Predicted `T_tot` in milliseconds for `n_e` blocks against an
-    /// `n_cols`-wide right-hand side, under the current calibration. This
-    /// is the line [`Planner::decide`] scores, so a [`PlanDecision`]'s
-    /// `predicted_ms` reproduces from `(use_tc, n_e, n_cols)`.
-    pub fn predict(&self, use_tc: bool, n_e: usize, n_cols: usize) -> f64 {
+    /// Predicted Tensor Core `T_tot` in milliseconds for `n_e` blocks
+    /// against an `n_cols`-wide right-hand side, under the current
+    /// calibration. This is the line [`Planner::decide`] scores, so a
+    /// [`PlanDecision`]'s `predicted_ms` reproduces from `(n_e, n_cols)`.
+    pub fn predict(&self, n_e: usize, n_cols: usize) -> f64 {
         let x = n_e as f64 * n_cols.div_ceil(NTILE).max(1) as f64;
-        self.calibration().model(use_tc).predict(x)
+        self.calibration().tc.predict(x)
     }
 
     /// The modeled per-request surcharge of executing `overlay_terms`
@@ -309,7 +293,7 @@ impl Planner {
         horizon: u64,
     ) -> bool {
         let surcharge = self.overlay_surcharge_ms(overlay_terms, n_cols);
-        surcharge * horizon as f64 >= self.predict(true, base_ne, n_cols)
+        surcharge * horizon as f64 >= self.predict(base_ne, n_cols)
     }
 
     /// Chooses a configuration for matrix `a` and a planning width of
@@ -328,27 +312,22 @@ impl Planner {
         span.arg("rows", a.nrows() as u64);
         span.arg("nnz", a.nnz() as u64);
         span.arg("n_cols", n_cols as u64);
-        let cal = self.calibration();
+        let line = self.calibration().tc;
         let ntiles = n_cols.div_ceil(NTILE).max(1) as f64;
         let mut cache = ReorderCache::new(a);
         let mut best: Option<PlanDecision> = None;
         for &(h, w) in &self.space.block_shapes {
             for &alg in &self.space.reorderings {
                 let n_e = count_blocks(cache.permuted(alg, h, w), h, w);
-                // TC first so exact prediction ties keep the tensor-core
-                // path.
-                for use_tc in [true, false] {
-                    let predicted = cal.model(use_tc).predict(n_e as f64 * ntiles);
-                    if best.as_ref().is_none_or(|b| predicted < b.predicted_ms) {
-                        best = Some(PlanDecision {
-                            block_h: h,
-                            block_w: w,
-                            reorder: alg,
-                            use_tc,
-                            predicted_ms: predicted,
-                            n_e,
-                        });
-                    }
+                let predicted = line.predict(n_e as f64 * ntiles);
+                if best.as_ref().is_none_or(|b| predicted < b.predicted_ms) {
+                    best = Some(PlanDecision {
+                        block_h: h,
+                        block_w: w,
+                        reorder: alg,
+                        predicted_ms: predicted,
+                        n_e,
+                    });
                 }
             }
         }
@@ -356,36 +335,26 @@ impl Planner {
         span.arg("block_h", decision.block_h as u64);
         span.arg("block_w", decision.block_w as u64);
         span.arg("reorder", decision.reorder.name());
-        span.arg("use_tc", decision.use_tc as u64);
         span.arg("n_e", decision.n_e as u64);
         span.arg("predicted_ms", decision.predicted_ms);
         decision
     }
 
-    /// Feeds an observed kernel time back into the model: `t_ms` is the
-    /// simulated launch time of an `n_cols`-wide SpMM over a prepare with
-    /// `n_e` blocks in mode `use_tc`. Non-positive or non-finite times are
+    /// Feeds an observed kernel time back into the Tensor Core line: `t_ms`
+    /// is the simulated launch time of an `n_cols`-wide SpMM over a planned
+    /// prepare with `n_e` blocks. Non-positive or non-finite times are
     /// ignored (degraded/fallback executions are not kernel samples).
-    pub fn observe(&self, use_tc: bool, n_e: usize, n_cols: usize, t_ms: f64) {
+    pub fn observe(&self, n_e: usize, n_cols: usize, t_ms: f64) {
         if !(t_ms.is_finite() && t_ms > 0.0) {
             return;
         }
         let x = n_e as f64 * n_cols.div_ceil(NTILE).max(1) as f64;
         let mut st = self.lock_state();
         st.observations += 1;
-        let window = if use_tc {
-            &mut st.tc_window
-        } else {
-            &mut st.scalar_window
-        };
-        let Some(model) = window.push(PerfSample { n_e: x, t_ms }) else {
+        let Some(model) = st.window.push(PerfSample { n_e: x, t_ms }) else {
             return;
         };
-        if use_tc {
-            st.calibration.tc = model;
-        } else {
-            st.calibration.scalar = model;
-        }
+        st.calibration.tc = model;
         st.refits += 1;
     }
 
@@ -593,7 +562,6 @@ mod tests {
         assert!(d1.n_e > 0);
         assert_eq!((d1.block_h, d1.block_w), (d2.block_h, d2.block_w));
         assert_eq!(d1.reorder, d2.reorder);
-        assert_eq!(d1.use_tc, d2.use_tc);
         assert_eq!(d1.predicted_ms.to_bits(), d2.predicted_ms.to_bits());
     }
 
@@ -641,17 +609,18 @@ mod tests {
 
     #[test]
     fn calibrated_decision_picks_tc_on_a_band_matrix() {
-        // Scalar is in the space, but on a clean blocked matrix the Tensor
-        // Core path is strictly faster per block — both in the model and in
-        // the simulator.
+        // On a clean blocked matrix the planned Tensor Core configuration
+        // is strictly faster than the scalar kernel on the same blocks.
         let planner = calibrated_planner();
         let a = band(96, 8);
         let d = planner.decide(&a, 8);
-        assert!(d.use_tc, "TC must win on a band matrix: {d:?}");
         let b = probe_rhs::<F16>(a.ncols(), 8);
         let cfg = d.apply(&SmatConfig::default());
+        assert!(cfg.opts.tc, "{cfg:?}");
         let tc_ms = Smat::prepare(&a, cfg.clone()).spmm(&b).report.elapsed_ms();
-        let scalar = PlanDecision { use_tc: false, ..d }.apply(&cfg);
+        let mut scalar = cfg;
+        scalar.opts.tc = false;
+        scalar.format = MatrixFormat::PlainBcsr;
         let scalar_ms = Smat::prepare(&a, scalar).spmm(&b).report.elapsed_ms();
         assert!(tc_ms < scalar_ms, "tc {tc_ms} ms vs scalar {scalar_ms} ms");
     }
@@ -670,22 +639,22 @@ mod tests {
         for i in 1..=32usize {
             let n_e = 100 * i;
             let x = n_e as f64; // n_cols = 8 → one tile
-            planner.observe(true, n_e, 8, true_te * x + true_init);
+            planner.observe(n_e, 8, true_te * x + true_init);
         }
         assert!(planner.refits() >= 1, "refits: {}", planner.refits());
         assert_eq!(planner.observations(), 32);
-        let predicted = planner.predict(true, 2000, 8);
+        let predicted = planner.predict(2000, 8);
         let truth = true_te * 2000.0 + true_init;
         assert!(
             ((predicted - truth) / truth).abs() < 1e-6,
             "predicted {predicted} vs truth {truth}"
         );
-        // The scalar model was untouched (still the bad line).
+        // The scalar line is never refit (still the bad line).
         assert_eq!(planner.calibration().scalar.t_e_ms, 123.0);
     }
 
     #[test]
-    fn refits_follow_new_samples_per_mode_after_the_window_fills() {
+    fn refits_follow_new_samples_after_the_window_fills() {
         // Once the window holds OBSERVE_WINDOW samples its length stays
         // fixed; the cadence must still count new samples, not the length.
         let planner = synthetic_planner(PerfModel {
@@ -695,16 +664,10 @@ mod tests {
         });
         for i in 0..300usize {
             let n_e = 50 + (i % 17) * 10;
-            planner.observe(true, n_e, 8, 1e-3 * n_e as f64 + 0.5);
+            planner.observe(n_e, 8, 1e-3 * n_e as f64 + 0.5);
         }
         assert_eq!(planner.observations(), 300);
         assert_eq!(planner.refits(), 300 / REFIT_EVERY as u64);
-        // Each mode counts its own samples: scalar ones start a fresh
-        // count without disturbing the TC cadence.
-        for i in 0..2 * REFIT_EVERY - 1 {
-            planner.observe(false, 50 + i * 10, 8, 2e-3 * (50 + i * 10) as f64);
-        }
-        assert_eq!(planner.refits(), 300 / REFIT_EVERY as u64 + 1);
     }
 
     #[test]
@@ -713,11 +676,11 @@ mod tests {
         let before = planner.calibration().tc;
         // A burst of identical shapes and some garbage times.
         for _ in 0..64 {
-            planner.observe(true, 500, 8, 1.0);
+            planner.observe(500, 8, 1.0);
         }
-        planner.observe(true, 500, 8, f64::NAN);
-        planner.observe(true, 500, 8, 0.0);
-        planner.observe(true, 500, 8, -3.0);
+        planner.observe(500, 8, f64::NAN);
+        planner.observe(500, 8, 0.0);
+        planner.observe(500, 8, -3.0);
         let after = planner.calibration().tc;
         assert_eq!(before.t_e_ms.to_bits(), after.t_e_ms.to_bits());
         assert_eq!(planner.refits(), 0);
@@ -767,25 +730,20 @@ mod tests {
 
     #[test]
     fn decision_format_applies_to_the_config() {
-        // The format follows the mode: TC decisions run the packed index
-        // their line prices, scalar decisions the plain one.
+        // Every decision runs on Tensor Cores over the packed index its
+        // line prices, whatever the base config says.
         let planner = calibrated_planner();
         let a = scrambled_families(128);
         let d = planner.decide(&a, 8);
-        for use_tc in [true, false] {
-            let d = PlanDecision { use_tc, ..d };
-            let cfg = d.apply(&SmatConfig::default());
-            assert_eq!(cfg.opts.tc, use_tc);
-            let want = if use_tc {
-                MatrixFormat::PackedBcsr
-            } else {
-                MatrixFormat::PlainBcsr
-            };
-            assert_eq!(cfg.format, want);
-            let engine = Smat::prepare_with_plan(&a, cfg, d);
-            assert_eq!(engine.packed_index().is_some(), use_tc);
-            assert_eq!(d.n_e, engine.bcsr().nblocks());
-        }
+        let mut base = SmatConfig::default();
+        base.opts.tc = false;
+        base.format = MatrixFormat::PlainBcsr;
+        let cfg = d.apply(&base);
+        assert!(cfg.opts.tc);
+        assert_eq!(cfg.format, MatrixFormat::PackedBcsr);
+        let engine = Smat::prepare_with_plan(&a, cfg, d);
+        assert!(engine.packed_index().is_some());
+        assert_eq!(d.n_e, engine.bcsr().nblocks());
     }
 
     #[test]
@@ -797,13 +755,12 @@ mod tests {
         let offline = planner.calibration().tc;
         for i in 0..2 * REFIT_EVERY {
             let n_e = 40 + 10 * i;
-            planner.observe(true, n_e, 8, 0.5 * offline.predict(n_e as f64));
+            planner.observe(n_e, 8, 0.5 * offline.predict(n_e as f64));
         }
         assert!(planner.refits() >= 1, "refits: {}", planner.refits());
         assert!(planner.calibration().tc.predict(100.0) < offline.predict(100.0));
         let a = band(96, 8);
         let d = planner.decide(&a, 8);
-        assert!(d.use_tc, "{d:?}");
         let cfg = d.apply(&SmatConfig::default());
         assert_eq!(cfg.format, MatrixFormat::PackedBcsr);
         assert!(Smat::prepare_with_plan(&a, cfg, d).packed_index().is_some());

@@ -58,7 +58,7 @@ pub enum DiagCode {
     RowPtrEnd,
     /// Pointer array decreases somewhere.
     RowPtrNonMonotone,
-    /// A column (or row, for CSC) index is out of range.
+    /// A column index is out of range.
     ColIdxOutOfBounds,
     /// Column indices within a row are not strictly increasing (unsorted or
     /// duplicated).

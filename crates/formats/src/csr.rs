@@ -177,7 +177,7 @@ impl<T: Element> Csr<T> {
         out
     }
 
-    /// Transposed copy (also serves as CSR→CSC conversion).
+    /// Transposed copy.
     pub fn transpose(&self) -> Csr<T> {
         let mut row_ptr = vec![0usize; self.ncols + 1];
         for &c in &self.col_idx {

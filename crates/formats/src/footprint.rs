@@ -8,7 +8,6 @@
 //! and padded layouts honest about what they actually move.
 
 use crate::bcsr::Bcsr;
-use crate::ell::Ell;
 use crate::packed::PackedBcsr;
 use crate::scalar::Element;
 use crate::srbcrs::SrBcrs;
@@ -80,22 +79,6 @@ impl<T: Element> FormatFootprint for SrBcrs<T> {
     }
 }
 
-impl<T: Element> FormatFootprint for Ell<T> {
-    fn payload_bytes(&self) -> usize {
-        self.nrows() * self.width() * T::BYTES
-    }
-    fn index_bytes(&self) -> usize {
-        // One 4-byte column slot per stored element, padding included.
-        self.nrows() * self.width() * 4
-    }
-    fn operand_rows(&self) -> usize {
-        self.nrows()
-    }
-    fn operand_cols(&self) -> usize {
-        self.ncols()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,16 +120,6 @@ mod tests {
         assert_eq!(
             plain.spmm_footprint_bytes(n, 2) - packed.spmm_footprint_bytes(n, 2),
             plain.index_bytes() - packed.index_bytes()
-        );
-    }
-
-    #[test]
-    fn ell_reports_padded_slots_in_both_components() {
-        let a = power_law();
-        let e = Ell::from_csr(&a);
-        assert_eq!(
-            FormatFootprint::payload_bytes(&e) + FormatFootprint::index_bytes(&e),
-            e.storage_bytes()
         );
     }
 }

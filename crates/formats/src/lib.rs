@@ -3,15 +3,14 @@
 //! Sparse and dense matrix formats for the SMaT (SC'24) reproduction:
 //!
 //! * [`Coo`] — coordinate triplets, the ingestion format;
-//! * [`Csr`]/[`Csc`] — compressed sparse row/column, the unstructured
-//!   baseline formats (§II-B1 of the paper);
+//! * [`Csr`] — compressed sparse row, the unstructured baseline format
+//!   (§II-B1 of the paper);
 //! * [`Bcsr`] — blocked CSR, SMaT's internal format whose block shape
 //!   matches the Tensor Core MMA fragment (§IV-B);
 //! * [`PackedBcsr`]/[`PackedIndex`] — BCSR with bit-packed block metadata
 //!   (per-row occupancy bitmap or delta/varint block columns, whichever is
 //!   smaller), the compressed index the hot kernel path streams;
 //! * [`SrBcrs`] — Magicube's strided row-major blocked CRS (§IV-B);
-//! * [`Ell`] — ELLPACK, the classic padded GPU SpMV layout;
 //! * [`Dense`] — row-major dense matrices for `B`, `C`, and references;
 //! * [`F16`]/[`Bf16`] — software half-precision scalars with bit-exact IEEE
 //!   rounding, plus the [`Element`] trait unifying all Tensor-Core-supported
@@ -22,10 +21,8 @@
 
 pub mod bcsr;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
-pub mod ell;
 pub mod fingerprint;
 pub mod footprint;
 pub mod mtx;
@@ -37,10 +34,8 @@ pub mod validate;
 
 pub use bcsr::{Bcsr, BlockRowStats};
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
-pub use ell::Ell;
 pub use fingerprint::{Fnv1a, MatrixFingerprint};
 pub use footprint::FormatFootprint;
 pub use packed::{PackedBcsr, PackedDecodeError, PackedIndex, RowEncoding};

@@ -31,8 +31,8 @@
 //! * planning — an optional cost-model-driven admission planner
 //!   ([`ServerConfig::planner`]): registrations without a pinned
 //!   configuration are scored with the calibrated Eq. 1 perf model
-//!   ([`smat::Planner`]) to choose `{block shape, reordering,
-//!   scalar-vs-TC}` per matrix (per shard for sharded ones); observed
+//!   ([`smat::Planner`]) to choose a Tensor Core `{block shape,
+//!   reordering}` per matrix (per shard for sharded ones); observed
 //!   launch times flow back for online refits and every prediction is
 //!   graded against the launch it planned
 //!   ([`ServerStats::plan_mean_rel_error`]).

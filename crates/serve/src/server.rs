@@ -75,7 +75,7 @@ pub struct ServerConfig {
     pub shard_max_bytes: Option<usize>,
     /// Cost-model-driven admission planner. `None` (the default) prepares
     /// every registration under [`ServerConfig::smat`] verbatim. `Some`
-    /// lets the planner choose `{block shape, reordering, scalar-vs-TC}`
+    /// lets the planner choose a Tensor Core `{block shape, reordering}`
     /// per registered matrix (per shard for sharded ones), scored with the
     /// calibrated perf model at a planning width of
     /// [`ServerConfig::column_budget`] columns — the width a saturated
@@ -1505,13 +1505,13 @@ fn execute_batch<T: Element>(
                 // online refit — predict *before* observe, so a launch
                 // never trains the model that grades it. Degraded
                 // completions are scalar-path timings of a TC-planned
-                // configuration, not a sample of the planned mode.
+                // configuration, not a sample of the planned kernel.
                 let mut predicted_ms = None;
                 if let (Some(planner), Some(decision)) =
                     (&shared.planner, live[0].smat.plan_decision())
                 {
                     if !out.degraded && out.sim_ms > 0.0 {
-                        let pred = planner.predict(decision.use_tc, decision.n_e, batch_cols);
+                        let pred = planner.predict(decision.n_e, batch_cols);
                         central.planned.fetch_add(n_live as u64, Ordering::Relaxed);
                         {
                             // POLICY (poisoning): recover. Two-scalar
@@ -1521,7 +1521,7 @@ fn execute_batch<T: Element>(
                             err.0 += (pred - out.sim_ms).abs() / out.sim_ms;
                             err.1 += 1;
                         }
-                        planner.observe(decision.use_tc, decision.n_e, batch_cols, out.sim_ms);
+                        planner.observe(decision.n_e, batch_cols, out.sim_ms);
                         if smat_trace::enabled() {
                             smat_trace::instant(
                                 "plan_feedback",

@@ -207,7 +207,7 @@ fn planned_configs_beat_the_paper_default_on_mixed_workloads() {
     // The admission planner's evidence (`BENCH_PR8.json`): on the mixed
     // rmat/dc2-class inputs at width 32, the configurations it picks run
     // in no more summed simulated time than the fixed paper default, and
-    // every Tensor Core pick streams the packed index its line is fitted on.
+    // every pick streams the packed index its line is fitted on.
     const N: usize = 32;
     let base = SmatConfig::default();
     let planner = Planner::with_calibration(
@@ -225,9 +225,7 @@ fn planned_configs_beat_the_paper_default_on_mixed_workloads() {
         let b = dense_b::<F16>(a.ncols(), N);
         let d = planner.decide(a, N);
         let cfg = d.apply(&base);
-        if d.use_tc {
-            assert_eq!(cfg.format, MatrixFormat::PackedBcsr, "{cfg:?}");
-        }
+        assert_eq!(cfg.format, MatrixFormat::PackedBcsr, "{cfg:?}");
         default_ms += Smat::prepare(a, base.clone()).spmm(&b).report.elapsed_ms();
         planned_ms += Smat::prepare_with_plan(a, cfg, d)
             .spmm(&b)

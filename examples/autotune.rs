@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example autotune [matrix-name]`
 
-use smat::{autotune, SmatConfig, TuneSpace};
+use smat::{autotune, PlanSpace, SmatConfig};
 use smat_repro::prelude::*;
 use smat_repro::workloads;
 
@@ -23,7 +23,7 @@ fn main() {
         a.nnz()
     );
 
-    let space = TuneSpace {
+    let space = PlanSpace {
         block_shapes: vec![(16, 16), (16, 8)],
         reorderings: vec![
             ReorderAlgorithm::Identity,

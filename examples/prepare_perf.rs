@@ -11,7 +11,9 @@
 //!
 //! Default mode prints one JSON record to stdout: per (matrix, strategy)
 //! timings — reorder / pack / convert / total milliseconds and the block
-//! count the strategy achieved — plus per-matrix summaries (LSH-vs-exact
+//! count the strategy achieved; a reordering runs once per matrix, so its
+//! sequential and parallel conversion records share its reorder and pack
+//! times — plus per-matrix summaries (LSH-vs-exact
 //! speedup and block-count ratio). The first command above regenerates
 //! the committed `BENCH_PR5.json`. It exits 1 when a matrix of at least
 //! 100k rows (the `rmat-131k` acceptance workload) gains less than
@@ -63,34 +65,28 @@ fn ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// One timed prepare path: reorder with `alg`, apply the permutation, then
-/// convert with the sequential or parallel BCSR pass. Returns the record's
-/// numeric fields plus the converted matrix's block count.
-fn run_strategy(
-    a: &Csr<F16>,
-    alg: ReorderAlgorithm,
-    parallel: bool,
-) -> (f64, f64, f64, f64, usize) {
+/// One reorder strategy, timed once per matrix: reorder with `alg`, then
+/// apply the permutation. Returns the permuted matrix with the reorder and
+/// pack milliseconds, which every conversion mode timed on it shares.
+fn reorder_timed(a: &Csr<F16>, alg: ReorderAlgorithm) -> (Csr<F16>, f64, f64) {
     let t0 = Instant::now();
     let r: Reordering = reorder(a, alg, BLOCK, BLOCK);
     let reorder_ms = ms(t0);
     let t1 = Instant::now();
     let permuted = r.apply(a);
-    let pack_ms = ms(t1);
-    let t2 = Instant::now();
+    (permuted, reorder_ms, ms(t1))
+}
+
+/// One timed BCSR conversion of an already permuted matrix, sequential or
+/// parallel. Returns the milliseconds and the converted block count.
+fn convert_timed(permuted: &Csr<F16>, parallel: bool) -> (f64, usize) {
+    let t = Instant::now();
     let bcsr = if parallel {
-        Bcsr::from_csr_parallel(&permuted, BLOCK, BLOCK)
+        Bcsr::from_csr_parallel(permuted, BLOCK, BLOCK)
     } else {
-        Bcsr::from_csr(&permuted, BLOCK, BLOCK)
+        Bcsr::from_csr(permuted, BLOCK, BLOCK)
     };
-    let convert_ms = ms(t2);
-    (
-        reorder_ms,
-        pack_ms,
-        convert_ms,
-        reorder_ms + pack_ms + convert_ms,
-        bcsr.nblocks(),
-    )
+    (ms(t), bcsr.nblocks())
 }
 
 fn bench_matrices() -> Vec<(&'static str, Csr<F16>)> {
@@ -105,20 +101,17 @@ fn bench_matrices() -> Vec<(&'static str, Csr<F16>)> {
 }
 
 fn bench() -> ExitCode {
-    let strategies: [(&str, ReorderAlgorithm, bool); 5] = [
+    // Each reorder strategy runs once per matrix; its permuted matrix is
+    // then converted under each listed mode (`true` = parallel). A record
+    // is one `{strategy}+{mode}` pair.
+    let strategies: [(&str, ReorderAlgorithm, &[bool]); 3] = [
         (
-            "jaccard-exact+sequential",
+            "jaccard-exact",
             ReorderAlgorithm::JaccardRows { tau: TAU },
-            false,
+            &[false, true],
         ),
-        (
-            "jaccard-exact+parallel",
-            ReorderAlgorithm::JaccardRows { tau: TAU },
-            true,
-        ),
-        ("jaccard-lsh+sequential", lsh(), false),
-        ("jaccard-lsh+parallel", lsh(), true),
-        ("rcm+parallel", ReorderAlgorithm::ReverseCuthillMcKee, true),
+        ("jaccard-lsh", lsh(), &[false, true]),
+        ("rcm", ReorderAlgorithm::ReverseCuthillMcKee, &[true]),
     ];
     let mut records = Vec::new();
     let mut summaries = Vec::new();
@@ -127,24 +120,30 @@ fn bench() -> ExitCode {
         eprintln!("{name}: {} rows, {} nnz", a.nrows(), a.nnz());
         let mut totals = std::collections::HashMap::new();
         let mut blocks = std::collections::HashMap::new();
-        for (strategy, alg, parallel) in strategies {
-            let (reorder_ms, pack_ms, convert_ms, total, nblocks) = run_strategy(&a, alg, parallel);
-            eprintln!(
-                "  {strategy:>26}: reorder {reorder_ms:9.2} ms | convert {convert_ms:7.2} ms | total {total:9.2} ms | {nblocks} blocks"
-            );
-            totals.insert(strategy, total);
-            blocks.insert(strategy, nblocks);
-            records.push(serde_json::json!({
-                "matrix": name,
-                "rows": a.nrows(),
-                "nnz": a.nnz(),
-                "strategy": strategy,
-                "reorder_ms": reorder_ms,
-                "pack_ms": pack_ms,
-                "convert_ms": convert_ms,
-                "total_prepare_ms": total,
-                "nnz_blocks": nblocks,
-            }));
+        for (alg_name, alg, modes) in strategies {
+            let (permuted, reorder_ms, pack_ms) = reorder_timed(&a, alg);
+            for &parallel in modes {
+                let (convert_ms, nblocks) = convert_timed(&permuted, parallel);
+                let mode = if parallel { "parallel" } else { "sequential" };
+                let strategy = format!("{alg_name}+{mode}");
+                let total = reorder_ms + pack_ms + convert_ms;
+                eprintln!(
+                    "  {strategy:>26}: reorder {reorder_ms:9.2} ms | convert {convert_ms:7.2} ms | total {total:9.2} ms | {nblocks} blocks"
+                );
+                records.push(serde_json::json!({
+                    "matrix": name,
+                    "rows": a.nrows(),
+                    "nnz": a.nnz(),
+                    "strategy": strategy,
+                    "reorder_ms": reorder_ms,
+                    "pack_ms": pack_ms,
+                    "convert_ms": convert_ms,
+                    "total_prepare_ms": total,
+                    "nnz_blocks": nblocks,
+                }));
+                totals.insert(strategy.clone(), total);
+                blocks.insert(strategy, nblocks);
+            }
         }
         let speedup = totals["jaccard-exact+sequential"] / totals["jaccard-lsh+parallel"];
         let ratio =

@@ -141,7 +141,7 @@ assert plan["plan_predictions"] > 0, "no prediction was graded against a launch"
 assert math.isfinite(plan["plan_mean_rel_error"]), plan["plan_mean_rel_error"]
 assert plan["request_checks"] > 0 and math.isfinite(plan["request_mean_rel_error"])
 assert plan["decisions"], "no admission decisions were recorded"
-# Each mode refits at most once per 8 new observations, also once its
+# The Tensor Core line refits at most once per 8 new observations, also once its
 # sliding window is full.
 assert plan["plan_refits"] <= plan["plan_observations"] // 8, \
     f"{plan['plan_refits']} refits over {plan['plan_observations']} observations"
@@ -258,5 +258,17 @@ if ! diff -u data/perfbench_golden.json "$golden_file"; then
     exit 1
 fi
 echo "perfbench golden OK: $(grep -c '": [0-9-]' "$golden_file") values identical"
+
+echo "==> reproduce golden: paper-figure records match data/reproduce_golden.jsonl exactly"
+# Refresh after an intended change with
+#   scripts/reproduce_golden.sh > data/reproduce_golden.jsonl
+reproduce_file="$(mktemp /tmp/reproduce_golden.XXXXXX.jsonl)"
+trap 'rm -f "$trace_file" "$golden_file" "$reproduce_file"' EXIT
+scripts/reproduce_golden.sh > "$reproduce_file"
+if ! diff -u data/reproduce_golden.jsonl "$reproduce_file"; then
+    echo "error: a paper figure moved; see the diff above" >&2
+    exit 1
+fi
+echo "reproduce golden OK: $(wc -l < "$reproduce_file") records identical"
 
 echo "All checks passed."

@@ -4,15 +4,15 @@
 //! SpMM Computation Using Tensor Cores* (Okanovic et al., SC 2024) — the
 //! SMaT library — including every substrate it depends on:
 //!
-//! * [`formats`] — CSR/CSC/COO/BCSR/SR-BCRS/dense formats and software
-//!   half-precision scalars;
+//! * [`formats`] — CSR/COO/BCSR/packed-BCSR/SR-BCRS/dense formats and
+//!   software half-precision scalars;
 //! * [`reorder`] — block-densifying row/column permutations (Jaccard
 //!   clustering, RCM, Saad, Gray-code);
 //! * [`gpusim`] — a functional + analytical-timing simulator of the NVIDIA
 //!   A100 execution model (SMs, warps, shared memory, Tensor Core MMA);
 //! * [`smat`] — the SMaT pipeline and kernel (the paper's contribution);
-//! * [`baselines`] — cuSPARSE-, DASP-, Magicube-, cuBLAS-, and
-//!   Sputnik-like comparison kernels running on the same simulator;
+//! * [`baselines`] — cuSPARSE-, DASP-, Magicube-, and cuBLAS-like
+//!   comparison kernels running on the same simulator;
 //! * [`workloads`] — deterministic matrix generators (band, RMAT, meshes,
 //!   SuiteSparse mimics);
 //! * [`diag`] / [`analyze`] — typed diagnostics, the format invariant
@@ -69,7 +69,7 @@ pub use smat;
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use smat::{autotune, PreflightMode, Schedule, Smat, SmatConfig, TuneSpace};
+    pub use smat::{autotune, PlanSpace, PreflightMode, Schedule, Smat, SmatConfig};
     pub use smat_diag::{DiagCode, Diagnostic, DiagnosticsExt, Severity};
     pub use smat_formats::{Bcsr, Bf16, Csr, Dense, Element, Permutation, F16};
     pub use smat_gpusim::DeviceConfig;

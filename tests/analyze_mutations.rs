@@ -2,7 +2,7 @@
 //! random *valid* matrix, corrupt exactly one invariant dimension of its
 //! raw parts, and assert the verifier reports the matching diagnostic code.
 //! The dual direction is covered too: every conversion roundtrip the
-//! pipeline uses (CSR ↔ BCSR ↔ COO, plus CSC/ELL/SR-BCRS) must stay
+//! pipeline uses (CSR ↔ BCSR ↔ COO, plus SR-BCRS) must stay
 //! verifier-clean.
 //!
 //! The same discipline extends to the `smat-sanitize` concurrency codes
@@ -16,10 +16,10 @@
 
 use proptest::prelude::*;
 use smat_analyze::{
-    verify_bcsr, verify_coo, verify_csc, verify_csr, verify_ell, verify_entries,
-    verify_permutation, verify_srbcrs, DiagCode, DiagnosticsExt,
+    verify_bcsr, verify_coo, verify_csr, verify_entries, verify_permutation, verify_srbcrs,
+    DiagCode, DiagnosticsExt,
 };
-use smat_formats::{Bcsr, Coo, Csc, Csr, Element, Ell, Permutation, SrBcrs, F16};
+use smat_formats::{Bcsr, Coo, Csr, Element, Permutation, SrBcrs, F16};
 
 /// Strategy: a random sparse matrix with at least one nonzero, so every
 /// mutation below has something to corrupt.
@@ -250,9 +250,6 @@ proptest! {
         let coo = a.to_coo();
         prop_assert!(verify_coo(&coo).is_empty());
         prop_assert!(verify_csr(&coo.to_csr()).is_empty());
-
-        prop_assert!(verify_csc(&Csc::from_csr(&a)).is_empty());
-        prop_assert!(verify_ell(&Ell::from_csr(&a)).is_empty());
     }
 
     #[test]

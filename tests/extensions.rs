@@ -1,12 +1,11 @@
 //! Integration tests of the extensions beyond the paper's minimal scope:
-//! BLAS-style epilogues, SpMV, autotuning, the bisection reorderer, the
-//! Sputnik-like fifth engine, and the roofline profile.
+//! BLAS-style epilogues, SpMV, autotuning, the bisection reorderer, and the
+//! roofline profile.
 
-use smat::{autotune, SmatConfig, TuneSpace};
+use smat::{autotune, PlanSpace, SmatConfig};
 use smat_formats::{Csr, Dense, Element};
 use smat_gpusim::{Bound, Gpu};
 use smat_reorder::ReorderAlgorithm;
-use smat_repro::baselines::SputnikLike;
 use smat_repro::prelude::*;
 use smat_repro::workloads;
 
@@ -51,7 +50,7 @@ fn spmv_agrees_with_dasp_spmv() {
 fn autotuned_config_is_never_slower_than_default() {
     for name in ["cop20k_A", "conf5_4-8x8"] {
         let a: Csr<F16> = workloads::by_name(name).unwrap().generate(0.005);
-        let report = autotune(&a, 8, &SmatConfig::default(), &TuneSpace::default());
+        let report = autotune(&a, 8, &SmatConfig::default(), &PlanSpace::default());
         let s = report
             .speedup_over_default()
             .expect("default configuration is in the space");
@@ -79,35 +78,6 @@ fn bisection_reordering_helps_scrambled_mesh() {
         ..SmatConfig::default()
     };
     assert_eq!(Smat::prepare(&a, cfg).spmm(&b).c, a.spmm_reference(&b));
-}
-
-#[test]
-fn sputnik_agrees_and_brackets_cusparse_from_above() {
-    // Sputnik is the strongest CUDA-core baseline: it must beat cuSPARSE
-    // everywhere, and lose to SMaT where blocks densify (mip1); on low-fill
-    // meshes the two are near parity — both are traffic-bound at N=8.
-    let gpu = Gpu::a100();
-    let a: Csr<F16> = workloads::by_name("mip1").unwrap().generate(0.01);
-    let b = workloads::dense_b::<F16>(a.ncols(), 8);
-    let want = a.spmm_reference(&b);
-    let (sputnik_res, sputnik_c) = SputnikLike::new(&gpu, &a).spmm(&b).unwrap();
-    assert_eq!(sputnik_c, want);
-    let (cusparse_res, _) = smat_repro::baselines::CusparseLike::new(&gpu, &a)
-        .spmm(&b)
-        .unwrap();
-    let smat_ms = Smat::prepare(&a, SmatConfig::default())
-        .spmm(&b)
-        .report
-        .elapsed_ms();
-    assert!(
-        sputnik_res.time_ms < cusparse_res.time_ms,
-        "sputnik should beat cuSPARSE"
-    );
-    assert!(
-        smat_ms < sputnik_res.time_ms,
-        "SMaT ({smat_ms}) should beat Sputnik ({}) on blockable mip1",
-        sputnik_res.time_ms
-    );
 }
 
 #[test]
@@ -160,7 +130,7 @@ fn tune_space_prefers_identity_on_band_matrices() {
     // conf5-like band input: reordering can't help, and the tuner should
     // not pay for it.
     let a = workloads::band::<F16>(512, 8);
-    let report = autotune(&a, 8, &SmatConfig::default(), &TuneSpace::default());
+    let report = autotune(&a, 8, &SmatConfig::default(), &PlanSpace::default());
     let identity_best = report
         .trials
         .iter()

@@ -333,8 +333,8 @@ proptest! {
     }
 
     #[test]
-    fn all_five_engines_agree_on_arbitrary_matrices(a in sparse_matrix(), n in 1usize..10) {
-        use smat_baselines::{CusparseLike, DaspLike, MagicubeLike, SputnikLike};
+    fn all_engines_agree_on_arbitrary_matrices(a in sparse_matrix(), n in 1usize..10) {
+        use smat_baselines::{CusparseLike, DaspLike, MagicubeLike};
         let gpu = smat_gpusim::Gpu::a100();
         let b = rhs(a.ncols(), n);
         let want = a.spmm_reference(&b);
@@ -342,16 +342,6 @@ proptest! {
         prop_assert_eq!(&CusparseLike::new(&gpu, &a).spmm(&b).unwrap().1, &want);
         prop_assert_eq!(&DaspLike::new(&gpu, &a).spmm(&b).unwrap().1, &want);
         prop_assert_eq!(&MagicubeLike::new(&gpu, &a).spmm(&b).unwrap().1, &want);
-        prop_assert_eq!(&SputnikLike::new(&gpu, &a).spmm(&b).unwrap().1, &want);
-    }
-
-    #[test]
-    fn ell_roundtrips_and_multiplies(a in sparse_matrix()) {
-        let e = smat_formats::Ell::from_csr(&a);
-        prop_assert_eq!(e.to_csr(), a.clone());
-        let b = rhs(a.ncols(), 3);
-        prop_assert_eq!(e.spmm_reference(&b), a.spmm_reference(&b));
-        prop_assert_eq!(e.padding() + e.nnz(), e.nrows() * e.width());
     }
 
     #[test]
@@ -489,8 +479,8 @@ proptest! {
             "prediction must be finite and positive: {}", d.predicted_ms
         );
         prop_assert!(
-            planner.predict(d.use_tc, d.n_e, n) == d.predicted_ms,
-            "recorded prediction must reproduce from (mode, n_e, width)"
+            planner.predict(d.n_e, n) == d.predicted_ms,
+            "recorded prediction must reproduce from (n_e, width)"
         );
 
         // Deciding again is bitwise the same decision: admission planning
@@ -498,7 +488,6 @@ proptest! {
         let d2 = planner.decide(&a, n);
         prop_assert_eq!((d.block_h, d.block_w), (d2.block_h, d2.block_w));
         prop_assert_eq!(d.reorder, d2.reorder);
-        prop_assert_eq!(d.use_tc, d2.use_tc);
         prop_assert_eq!(d.n_e, d2.n_e);
         prop_assert_eq!(d.predicted_ms.to_bits(), d2.predicted_ms.to_bits());
 
@@ -525,7 +514,7 @@ proptest! {
         let d = planner.decide(&a, 8);
         for (i, t) in times.iter().enumerate() {
             let n_e = if same_x { d.n_e.max(1) } else { d.n_e.max(1) + i * 7 };
-            planner.observe(d.use_tc, n_e, 8, *t);
+            planner.observe(n_e, 8, *t);
         }
         prop_assert_eq!(planner.observations(), times.len() as u64);
         let after = planner.decide(&a, 8);

@@ -7,7 +7,7 @@ use smat_gpusim::{Gpu, SimError};
 use smat_reorder::ReorderAlgorithm;
 use smat_repro::baselines::{CublasLike, CusparseLike, DaspLike, MagicubeLike};
 use smat_repro::prelude::*;
-use smat_repro::smat::{MatrixFormat, PlanSpace};
+use smat_repro::smat::{Calibration, MatrixFormat, PlanSpace, Planner};
 use smat_repro::workloads;
 
 #[test]
@@ -209,6 +209,96 @@ fn packed_index_is_never_slower_than_plain_across_the_plan_space() {
             }
         }
     }
+}
+
+/// A 16×16 matrix with every entry stored: exactly one 16×16 block.
+fn one_block() -> Csr<F16> {
+    let mut coo = smat_formats::Coo::new(16, 16);
+    for i in 0..16 {
+        for j in 0..16 {
+            coo.push(i, j, F16::from_f64(((i + j) % 5) as f64 - 2.0));
+        }
+    }
+    coo.to_csr()
+}
+
+/// `cfg` on the scalar kernel, streaming the plain index it reads.
+fn scalar_twin(cfg: &SmatConfig) -> SmatConfig {
+    let mut scalar = cfg.clone();
+    scalar.opts.tc = false;
+    scalar.format = MatrixFormat::PlainBcsr;
+    scalar
+}
+
+#[test]
+fn tensor_cores_are_never_slower_than_the_scalar_kernel_across_the_plan_space() {
+    // The planner scores only the Tensor Core line, so every decision runs
+    // on Tensor Cores. That is only sound while the scalar kernel (over
+    // the plain index it streams) never wins a whole matrix: check every
+    // shape and reordering of the default plan space, from the smallest
+    // launch (one block) through an ultra-sparse graph to Table I mimics,
+    // at the widths the server batches to.
+    let space = PlanSpace::default();
+    let matrices: Vec<(&str, Csr<F16>)> = vec![
+        ("one-block", one_block()),
+        ("rmat_s14_ultra_sparse", workloads::rmat(14, 2000, 42)),
+        ("mip1", workloads::by_name("mip1").unwrap().generate(0.002)),
+        ("dc2", workloads::by_name("dc2").unwrap().generate(0.002)),
+    ];
+    for (name, a) in &matrices {
+        for &(h, w) in &space.block_shapes {
+            for &alg in &space.reorderings {
+                let reordering = smat_reorder::reorder(a, alg, h, w);
+                let tc_cfg = SmatConfig {
+                    block_h: h,
+                    block_w: w,
+                    reorder: alg,
+                    format: MatrixFormat::PackedBcsr,
+                    ..SmatConfig::default()
+                };
+                assert!(tc_cfg.opts.tc);
+                let scalar_cfg = scalar_twin(&tc_cfg);
+                let tc = Smat::prepare_with_reordering(a, tc_cfg, reordering.clone());
+                let scalar = Smat::prepare_with_reordering(a, scalar_cfg, reordering);
+                for n in [8, 32] {
+                    let b = workloads::dense_b::<F16>(a.ncols(), n);
+                    let tc_ms = tc.spmm(&b).report.elapsed_ms();
+                    let scalar_ms = scalar.spmm(&b).report.elapsed_ms();
+                    assert!(
+                        tc_ms <= scalar_ms,
+                        "{name}, {h}x{w}, {}, n={n}: TC {tc_ms} ms > scalar {scalar_ms} ms",
+                        alg.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn calibrated_planner_runs_a_one_block_matrix_on_tensor_cores() {
+    // The smallest launch is where a scalar line with a lower launch
+    // constant would undercut the Tensor Core one in the model, although
+    // the simulator runs Tensor Cores faster there too. The planner prices
+    // Tensor Cores only, so the one-block matrix runs on them.
+    let base = SmatConfig::default();
+    let cal = Calibration::fit_on(&workloads::calibration_bands::<F16>(512), 8, &base);
+    let planner = Planner::with_calibration(PlanSpace::default(), cal);
+    let a = one_block();
+    let d = planner.decide(&a, 8);
+    let cfg = d.apply(&base);
+    assert!(cfg.opts.tc, "{d:?}");
+    assert_eq!(cfg.format, MatrixFormat::PackedBcsr);
+    let b = workloads::dense_b::<F16>(a.ncols(), 8);
+    let scalar = Smat::prepare(&a, scalar_twin(&cfg)).spmm(&b);
+    let tc = Smat::prepare_with_plan(&a, cfg, d).spmm(&b);
+    assert_eq!(tc.c, a.spmm_reference(&b));
+    assert!(
+        tc.report.elapsed_ms() < scalar.report.elapsed_ms(),
+        "TC {} ms vs scalar {} ms",
+        tc.report.elapsed_ms(),
+        scalar.report.elapsed_ms()
+    );
 }
 
 /// The mixed rmat/dc2-class inputs the packed-index and panel-pipeline
