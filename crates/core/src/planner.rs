@@ -180,8 +180,10 @@ struct ObserveWindow {
 impl ObserveWindow {
     /// Adds `sample`, dropping the oldest beyond [`OBSERVE_WINDOW`]. Every
     /// [`REFIT_EVERY`] new samples it attempts a refit and returns the new
-    /// line — unless the window's x-spread is unidentifiable: a burst of
-    /// identical shapes must not wipe out the calibration.
+    /// line — unless the window's x-spread is unidentifiable (a burst of
+    /// identical shapes must not wipe out the calibration) or the fitted
+    /// slope is not a physical cost (`T_e` non-finite or `≤ 0` would rank
+    /// candidates by the *most* blocks).
     fn push(&mut self, sample: PerfSample) -> Option<PerfModel> {
         self.samples.push(sample);
         if self.samples.len() > OBSERVE_WINDOW {
@@ -201,7 +203,8 @@ impl ObserveWindow {
         if max_x - min_x <= max_x.abs() * 1e-6 + 1e-12 {
             return None;
         }
-        Some(PerfModel::fit(&self.samples))
+        let line = PerfModel::fit(&self.samples);
+        (line.t_e_ms.is_finite() && line.t_e_ms > 0.0).then_some(line)
     }
 }
 
@@ -686,6 +689,23 @@ mod tests {
         assert_eq!(planner.refits(), 0);
         // Only the finite positive samples were counted.
         assert_eq!(planner.observations(), 64);
+    }
+
+    #[test]
+    fn falling_observations_never_install_a_non_physical_line() {
+        // Launch times that fall as the block count grows fit a negative
+        // slope; installing it would make `decide` prefer the most blocks.
+        let planner = calibrated_planner();
+        let before = planner.calibration().tc;
+        for i in 0..2 * REFIT_EVERY {
+            let n_e = 20 + 15 * i;
+            planner.observe(n_e, 8, before.predict(400.0 - n_e as f64));
+        }
+        assert_eq!(planner.observations(), 2 * REFIT_EVERY as u64);
+        assert_eq!(planner.refits(), 0);
+        let after = planner.calibration().tc;
+        assert_eq!(before.t_e_ms.to_bits(), after.t_e_ms.to_bits());
+        assert_eq!(before.t_init_ms.to_bits(), after.t_init_ms.to_bits());
     }
 
     #[test]

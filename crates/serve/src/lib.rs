@@ -63,9 +63,10 @@
 //!
 //! Requests complete through an executor-independent future
 //! ([`ResponseFuture`]); synchronous callers use its
-//! [`wait`](ResponseFuture::wait) or [`block_on`]. See `examples/serve.rs`
-//! at the workspace root for a trace-replay driver and DESIGN.md §10 for
-//! the architecture discussion.
+//! [`wait`](ResponseFuture::wait) or [`block_on`]. `reproduce serve` (in
+//! `smat-bench`) is the runnable serving demo, `tests/common/replay.rs` the
+//! trace-replay driver the integration tests verify the engine with, and
+//! DESIGN.md §10 the architecture discussion.
 
 pub mod batch;
 pub mod chaos;

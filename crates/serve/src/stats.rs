@@ -1,11 +1,31 @@
 //! Serving statistics: counter snapshots and latency percentiles.
 //!
-//! [`ServerStats`] splits into two kinds of fields. Counters driven purely
-//! by the request stream (submissions, completions, cache hits) are
-//! deterministic for a fixed trace submitted from one thread; fields driven
-//! by host scheduling (wall-clock latency percentiles, batch composition,
-//! per-device occupancy) are not, and the serving example keeps them out of
-//! its reproducibility check.
+//! # Determinism contract
+//!
+//! Replay a fixed trace from one thread through *drained windows* — pause,
+//! apply the window's mutations and quiesce their compactions, submit the
+//! window, resume, wait for every response — and device placement, queue
+//! depths and batch composition are fixed, so these [`ServerStats`] fields
+//! reproduce run to run: `submitted`, `completed`, the `rejected_*`
+//! family, `failed`, `batches`, `batched_requests`, `max_batch`,
+//! `mutations`, `compactions`, `fanout_requests`, `shard_subrequests`,
+//! `sim_ms_total`, `planned_requests`, the registry and plan-cache
+//! counters, the whole [`ChaosStats`] block under the same
+//! [`FaultConfig`](smat_gpusim::FaultConfig) (the fault schedule is a pure
+//! function of seed, device and request content, see `smat_gpusim::fault`),
+//! and each device's `launches`, `served`, `cols` and `dispatched`. The
+//! trace-replay tests of this crate compare these fields across two
+//! replays, and perfbench's golden gates the `batch.*` values it derives
+//! from it. Without drained windows, queue depths and batch composition
+//! follow worker timing, and so does every field derived from them.
+//!
+//! Outside the contract: everything timed on the host clock (`wall_ms`,
+//! `active_ms`, `latency`, per-device `busy_ms` and `occupancy`) and the
+//! planner's online statistics (`plan_predictions`, `plan_mean_rel_error`,
+//! `plan_refits`, `plan_observations`) — workers feed launches back
+//! concurrently, so refits see them in scheduling order. With a planner,
+//! `compactions` leaves the contract too: the compaction decision prices
+//! the overlay with the refitted line.
 
 use serde::Serialize;
 
@@ -94,13 +114,8 @@ pub struct DeviceStats {
 }
 
 /// Fault-injection and recovery counters, all zero when the server runs
-/// without a chaos configuration.
-///
-/// Determinism contract: when the request trace is replayed through
-/// drained submission windows (the `examples/serve.rs` discipline) with the
-/// same [`FaultConfig`](smat_gpusim::FaultConfig), every field here is
-/// byte-for-byte reproducible — the fault schedule is a pure function of
-/// (seed, device, request content), see `smat_gpusim::fault`.
+/// without a chaos configuration. Reproducible under drained-window replay
+/// with the same fault seed (see the [module docs](self)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ChaosStats {
     /// Faults injected into launches and detected by the serving layer
@@ -130,18 +145,9 @@ impl ChaosStats {
     }
 }
 
-/// Snapshot of the whole serving engine.
-///
-/// Determinism contract: for a fixed request trace submitted from a single
-/// thread, the counter fields (`submitted`, `completed`, the `rejected_*`
-/// family, `failed`, the registry/plan cache counters, and — under drained
-/// submission windows — the whole [`ChaosStats`] block) are
-/// reproducible run to run. Everything timed against the host clock
-/// (`wall_ms`, `active_ms`, `latency`, per-device `busy_ms`/`occupancy`)
-/// and everything shaped by worker scheduling (`batches`, `max_batch`,
-/// per-device `served`/`cols` splits) is not; reproducibility checks must
-/// compare only the first group. `examples/serve.rs` encodes exactly that
-/// split in its `DeterministicSummary`.
+/// Snapshot of the whole serving engine. Which fields reproduce across
+/// replays of one trace, and under which submission discipline, is the
+/// [module-level determinism contract](self).
 #[derive(Clone, Debug, Serialize)]
 pub struct ServerStats {
     /// Host milliseconds since the server was constructed.
@@ -168,14 +174,10 @@ pub struct ServerStats {
     pub max_batch: u64,
     /// Mutation batches applied through [`Server::mutate`](crate::Server)
     /// (each may carry many cell updates; the overlay epoch advances by the
-    /// op count). Driven purely by the request stream — part of the
-    /// deterministic counter group.
+    /// op count).
     pub mutations: u64,
     /// Shard handles re-prepared by background compactions that published
-    /// (mirrors [`RegistryStats::compactions`]). Deterministic under drained replay:
-    /// the compaction *decision* is a pure function of matrix content and
-    /// the calibrated model, and the driver quiesces compactions at window
-    /// boundaries.
+    /// (mirrors [`RegistryStats::compactions`]).
     pub compactions: u64,
     /// Requests against tenants of more than one shard, fanned out across
     /// the pool (each counts once in `submitted`/`completed`).
@@ -189,19 +191,13 @@ pub struct ServerStats {
     pub sim_ms_total: f64,
     /// Requests completed under a planner-chosen configuration whose
     /// prediction was checked against the observed launch time. Zero
-    /// without an admission planner and for pinned registrations. A pure
-    /// request-stream counter under drained replay (degradation, the only
-    /// exclusion, is content-deterministic there) — part of the
-    /// deterministic group.
+    /// without an admission planner and for pinned registrations.
     pub planned_requests: u64,
     /// Prediction checks performed — one per planned, non-degraded batch.
-    /// Depends on batch composition; *not* deterministic.
     pub plan_predictions: u64,
     /// Mean relative error `|predicted − observed| / observed` over those
     /// checks (`0.0` when none ran). The falsifiability stat of the
-    /// admission planner: each check predicts the batch's total width, so
-    /// the value depends on batch composition and is *not* part of the
-    /// deterministic counter group.
+    /// admission planner: each check predicts the batch's total width.
     pub plan_mean_rel_error: f64,
     /// Online perf-model refits the planner has performed.
     pub plan_refits: u64,

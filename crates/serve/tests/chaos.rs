@@ -3,38 +3,19 @@
 //! identical fault counters, and the identical set of injected-fault /
 //! recovery trace events — the fault schedule is a pure function of
 //! (seed, device, request content), never of wall-clock or thread timing.
+//! Every test here injects faults, so each holds the gate: a concurrent
+//! one would add its `chaos` events to another's traced multiset.
 
-use smat_formats::{Coo, Csr, Dense, Element, F16};
+use smat_formats::{Dense, F16};
 use smat_gpusim::FaultConfig;
 use smat_serve::{block_on, ChaosStats, Server, ServerConfig, TraceHandle};
 
+mod common;
+use common::replay::{config, replay_twice, spec, Mutations, Registration};
+use common::{gate, matrix_fixed_values, panel, width};
+
 const REQUESTS: usize = 96;
 const WINDOW: usize = 16;
-
-/// The trace recorder is process-global, so tests that enable it must not
-/// overlap; the harness runs tests on parallel threads by default.
-static TRACER_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn matrix(n: usize, shift: usize) -> Csr<F16> {
-    let mut coo = Coo::new(n, n);
-    for r in 0..n {
-        for j in 0..5 {
-            coo.push(
-                r,
-                (r * 3 + j * 11 + shift) % n,
-                F16::from_f64(((r + j) % 5) as f64 - 2.0),
-            );
-        }
-    }
-    coo.to_csr()
-}
-
-fn panel(k: usize, seq: usize) -> Dense<F16> {
-    let n = 4 + (seq % 3) * 4;
-    Dense::from_fn(k, n, |i, j| {
-        F16::from_f64((((i + 3 * j + 7 * seq) % 9) as f64 - 4.0) / 2.0)
-    })
-}
 
 struct Replay {
     /// `(c, device, attempts, degraded)` per request, in trace order.
@@ -54,18 +35,18 @@ fn replay(seed: u64, rate: f64) -> Replay {
         chaos: Some(FaultConfig::blended(seed, rate)),
         ..ServerConfig::default()
     });
-    let matrices = [matrix(64, 0), matrix(64, 3)];
+    let matrices = [matrix_fixed_values(64, 0), matrix_fixed_values(64, 3)];
     let keys = [server.register(&matrices[0]), server.register(&matrices[1])];
 
     let mut responses = Vec::with_capacity(REQUESTS);
     let mut seq = 0usize;
     while seq < REQUESTS {
-        // The pause/resume window discipline from examples/serve.rs: batch
-        // composition (and hence work ids) must not depend on how fast the
-        // workers drain relative to the submitting thread.
+        // The pause/resume window discipline of the trace-replay driver:
+        // batch composition (and hence work ids) must not depend on how
+        // fast the workers drain relative to the submitting thread.
         server.pause();
         let futures: Vec<_> = (0..WINDOW.min(REQUESTS - seq))
-            .map(|w| server.submit(keys[(seq + w) % 2], panel(64, seq + w)))
+            .map(|w| server.submit(keys[(seq + w) % 2], panel(64, width(seq + w), seq + w)))
             .collect();
         server.resume();
         for fut in futures {
@@ -93,7 +74,7 @@ fn replay(seed: u64, rate: f64) -> Replay {
 
 #[test]
 fn same_seed_reproduces_responses_counters_and_fault_events() {
-    let _gate = TRACER_GATE.lock().unwrap();
+    let _gate = gate();
     let first = replay(7, 0.3);
     assert!(
         first.chaos.faults_injected > 0 && first.chaos.retries > 0,
@@ -121,11 +102,31 @@ fn different_seeds_produce_different_fault_schedules() {
     // actually reaching the plan: two seeds at the same rate should not
     // produce the same schedule (astronomically unlikely with ~30 faults
     // over hundreds of keyed draws).
-    let _gate = TRACER_GATE.lock().unwrap();
+    let _gate = gate();
     let a = replay(7, 0.3);
     let b = replay(8, 0.3);
     assert_ne!(
         a.events, b.events,
         "seeds 7 and 8 injected identical fault schedules"
+    );
+}
+
+#[test]
+fn faulted_trace_replay_answers_every_request_correctly() {
+    let _gate = gate();
+    let chaotic = || ServerConfig {
+        chaos: Some(FaultConfig::blended(7, 0.25)),
+        ..config()
+    };
+    let first = replay_twice(chaotic, &spec(160), Mutations::Overlay, Registration::Sync);
+    let chaos = first.stats.chaos;
+    assert!(
+        chaos.faults_injected > 0,
+        "rate 0.25 injected nothing: {chaos:?}"
+    );
+    assert!(chaos.retries > 0, "faults without retries: {chaos:?}");
+    assert_eq!(
+        first.stats.failed, 0,
+        "a request exhausted the recovery ladder"
     );
 }

@@ -14,40 +14,20 @@
 //!   serving its old epoch, byte-identically, and the single-flight guard
 //!   resets so a later compaction can succeed,
 //! * concurrent mutators racing auto-compaction converge to the oracle.
+//!
+//! The mutating trace replay is in `recorded.rs`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use smat::{MatrixUpdate, Smat, SmatConfig};
-use smat_formats::{Coo, Csr, Dense, Element, MatrixFingerprint, F16};
+use smat_formats::{Coo, Element, F16};
 use smat_serve::{
-    block_on, CompactionPolicy, MatrixKey, PreparedMatrixRegistry, ServeError, Server,
-    ServerConfig, Tenant,
+    block_on, CompactionPolicy, PreparedMatrixRegistry, ServeError, Server, ServerConfig, Tenant,
 };
 
-fn matrix(n: usize, shift: usize) -> Csr<F16> {
-    let mut coo = Coo::new(n, n);
-    for r in 0..n {
-        for j in 0..5 {
-            coo.push(
-                r,
-                (r * 3 + j * 11 + shift) % n,
-                F16::from_f64(((r + j + shift) % 5) as f64 - 2.0),
-            );
-        }
-    }
-    coo.to_csr()
-}
-
-fn rhs(k: usize, n: usize, salt: usize) -> Dense<F16> {
-    Dense::from_fn(k, n, |i, j| {
-        F16::from_f64((((i + 2 * j + salt) % 7) as f64 - 3.0) / 2.0)
-    })
-}
-
-fn key_of(a: &Csr<F16>, cfg: &SmatConfig) -> MatrixKey {
-    MatrixKey::new(MatrixFingerprint::of_csr(a), cfg)
-}
+mod common;
+use common::{key_of, matrix, rhs};
 
 #[test]
 fn a_mutated_tenant_never_launches_under_a_stale_plan_end_to_end() {

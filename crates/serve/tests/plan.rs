@@ -2,21 +2,18 @@
 //! registrations serve bitwise-identical products to the same
 //! configurations pinned manually, pinned registrations bypass the
 //! planner, shards plan independently, and observed launches drive the
-//! online refit loop.
+//! online refit loop. The planned trace replay is in `recorded.rs`.
 
 use std::sync::Arc;
 
 use smat::{MatrixFormat, Smat, SmatConfig};
-use smat_formats::{Csr, Dense, Element, F16};
+use smat_formats::{Csr, F16};
 use smat_serve::{block_on, Calibration, PlanSpace, Planner, Server, ServerConfig};
 use smat_shard::estimated_csr_bytes;
 use smat_workloads::{by_name, calibration_bands, dense_b, random_uniform, rmat};
 
-fn rhs(k: usize, n: usize, salt: usize) -> Dense<F16> {
-    Dense::from_fn(k, n, |i, j| {
-        F16::from_f64(((i + 2 * j + salt) % 5) as f64 - 2.0)
-    })
-}
+mod common;
+use common::int_rhs;
 
 fn calibration() -> Calibration {
     Calibration::fit_on(&calibration_bands::<F16>(96), 8, &SmatConfig::default())
@@ -62,7 +59,7 @@ fn planned_serving_is_bitwise_identical_to_manually_pinned_configs() {
 
     for i in 0..9 {
         let (a, m) = (&mats[i % 3], i % 3);
-        let b = rhs(128, 8, i);
+        let b = int_rhs(128, 8, i);
         let want = a.spmm_reference(&b);
         let rp = block_on(planned.submit(planned_keys[m], b.clone())).expect("planned serve");
         let rm = block_on(manual.submit(manual_keys[m], b)).expect("pinned serve");
@@ -109,7 +106,7 @@ fn pinned_registration_bypasses_the_planner() {
     let server: Server<F16> = Server::new(planned_config(calibration()));
     let a: Csr<F16> = random_uniform(96, 96, 0.9, 5);
     let key = server.register_with_config(&a, SmatConfig::default());
-    let b = rhs(96, 8, 0);
+    let b = int_rhs(96, 8, 0);
     let want = a.spmm_reference(&b);
     let resp = block_on(server.submit(key, b)).expect("pinned serve");
     assert_eq!(resp.c, want);
@@ -127,7 +124,7 @@ fn warm_prepare_plans_and_parked_submissions_get_predictions() {
     // Warm in the background and submit immediately: the request parks on
     // the in-flight (planned) prepare and completes with its prediction.
     let key = server.warm_prepare(&a);
-    let b = rhs(128, 8, 3);
+    let b = int_rhs(128, 8, 3);
     let want = a.spmm_reference(&b);
     let resp = block_on(server.submit(key, b)).expect("parked planned serve");
     assert_eq!(resp.c, want);
@@ -151,7 +148,7 @@ fn sharded_registration_plans_each_shard_and_stays_exact() {
         "operand must actually shard"
     );
     for i in 0..2 {
-        let b = rhs(128, 8, i);
+        let b = int_rhs(128, 8, i);
         let want = a.spmm_reference(&b);
         let resp = block_on(server.submit(key, b)).expect("sharded planned serve");
         assert_eq!(
@@ -186,7 +183,7 @@ fn observed_launches_drive_online_refits() {
         } else {
             (&a1, k1, 160)
         };
-        let b = rhs(n, 8, i);
+        let b = int_rhs(n, 8, i);
         let want = a.spmm_reference(&b);
         let resp = block_on(server.submit(k, b)).expect("served");
         assert_eq!(resp.c, want);

@@ -1,39 +1,20 @@
 //! Cross-module serving-engine tests: get-or-prepare under real thread
 //! contention, LRU eviction order, concurrent submission through the full
-//! server, and the batching bitwise-equality property.
+//! server, the batching bitwise-equality property, and a trace replay
+//! that verifies every response and reproduces its end state.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use smat::{OverlaySnapshot, Smat, SmatConfig};
-use smat_formats::{Coo, Csr, Dense, Element, MatrixFingerprint, F16};
+use smat_formats::{Coo, Csr, Dense, Element, F16};
 use smat_gpusim::Gpu;
 use smat_serve::{spmm_batched, MatrixKey, PreparedMatrixRegistry, Server, ServerConfig, Tenant};
 
-fn matrix(n: usize, shift: usize) -> Csr<F16> {
-    let mut coo = Coo::new(n, n);
-    for r in 0..n {
-        for j in 0..5 {
-            coo.push(
-                r,
-                (r * 3 + j * 11 + shift) % n,
-                F16::from_f64(((r + j + shift) % 5) as f64 - 2.0),
-            );
-        }
-    }
-    coo.to_csr()
-}
-
-fn rhs(k: usize, n: usize, salt: usize) -> Dense<F16> {
-    Dense::from_fn(k, n, |i, j| {
-        F16::from_f64((((i + 2 * j + salt) % 7) as f64 - 3.0) / 2.0)
-    })
-}
-
-fn key_of(a: &Csr<F16>, cfg: &SmatConfig) -> MatrixKey {
-    MatrixKey::new(MatrixFingerprint::of_csr(a), cfg)
-}
+mod common;
+use common::replay::{config, replay_twice, spec, Mutations, Registration};
+use common::{key_of, matrix, rhs};
 
 #[test]
 fn racing_get_or_prepare_runs_prepare_exactly_once() {
@@ -224,4 +205,16 @@ proptest! {
             prop_assert_eq!(got, &solo.c);
         }
     }
+}
+
+#[test]
+fn trace_replay_verifies_every_response_and_reproduces_its_end_state() {
+    let first = replay_twice(config, &spec(200), Mutations::Overlay, Registration::Sync);
+    let registry = first.stats.registry;
+    assert!(registry.hits >= 1, "no registry cache hit: {registry:?}");
+    assert!(
+        registry.hit_rate() > 0.9,
+        "hit rate {}",
+        registry.hit_rate()
+    );
 }

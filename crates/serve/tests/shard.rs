@@ -1,6 +1,7 @@
 //! Integration tests of sharded tenants: registration, fan-out/join
 //! serving, placement, registry capacity, warm-prepare parking, and chaos
-//! recovery with replay determinism.
+//! recovery with replay determinism. The sharded trace replays are in
+//! `recorded.rs`.
 
 use smat::MatrixUpdate;
 use smat_formats::{Coo, Csr, Dense, Element, F16};
@@ -11,11 +12,8 @@ use smat_serve::{
 use smat_shard::estimated_csr_bytes;
 use smat_workloads::random_uniform;
 
-fn rhs(k: usize, n: usize, salt: usize) -> Dense<F16> {
-    Dense::from_fn(k, n, |i, j| {
-        F16::from_f64(((i + 2 * j + salt) % 5) as f64 - 2.0)
-    })
-}
+mod common;
+use common::int_rhs;
 
 /// A matrix big enough to split into `nshards` under the returned budget.
 fn sharded_operand(nshards: usize, seed: u64) -> (Csr<F16>, usize) {
@@ -41,7 +39,7 @@ fn sharded_serving_is_bitwise_identical_across_three_devices() {
     server.pause();
     let futs: Vec<_> = (0..6)
         .map(|i| {
-            let b = rhs(128, 8, i);
+            let b = int_rhs(128, 8, i);
             let want = a.spmm_reference(&b);
             (server.submit(key, b), want)
         })
@@ -85,7 +83,7 @@ fn small_matrices_stay_one_shard() {
     });
     let key = server.register(&a);
     assert!(server.shard_plan(&key).is_none());
-    let b = rhs(64, 8, 0);
+    let b = int_rhs(64, 8, 0);
     let want = a.spmm_reference(&b);
     let resp = block_on(server.submit(key, b)).expect("served directly");
     assert_eq!(resp.c, want);
@@ -117,12 +115,12 @@ fn sharded_tenants_count_against_the_registry_capacity() {
         "oldest tenant evicted"
     );
     assert!(matches!(
-        block_on(server.submit(keys[0], rhs(128, 8, 0))),
+        block_on(server.submit(keys[0], int_rhs(128, 8, 0))),
         Err(smat_serve::ServeError::UnknownMatrix)
     ));
     for (a, key) in operands.iter().zip(&keys).skip(1) {
         assert_eq!(server.shard_plan(key).expect("resident").nshards(), 3);
-        let b = rhs(128, 8, 1);
+        let b = int_rhs(128, 8, 1);
         let resp = block_on(server.submit(*key, b.clone())).expect("served");
         assert_eq!(resp.c, a.spmm_reference(&b));
     }
@@ -170,7 +168,7 @@ fn identical_row_slices_mutated_apart_never_share_a_batch() {
     server.pause();
     let futs: Vec<_> = (0..4)
         .map(|i| {
-            let b = rhs(64, 8, i);
+            let b = int_rhs(64, 8, i);
             let want = merged.spmm_reference(&b);
             (server.submit(key, b), want)
         })
@@ -193,7 +191,7 @@ fn submissions_park_on_an_in_flight_sharded_warm_prepare() {
     // Warm in the background and submit immediately: the request must park
     // on the shard entry and fan out when preparation lands, not bounce.
     let key = server.warm_prepare(&a);
-    let b = rhs(128, 16, 1);
+    let b = int_rhs(128, 16, 1);
     let want = a.spmm_reference(&b);
     let resp = block_on(server.submit(key, b)).expect("parked fan-out served");
     assert_eq!(resp.c, want);
@@ -212,7 +210,7 @@ fn sharded_shape_mismatch_is_rejected_before_any_dispatch() {
         ..ServerConfig::default()
     });
     let key = server.register(&a);
-    match block_on(server.submit(key, rhs(64, 8, 0))) {
+    match block_on(server.submit(key, int_rhs(64, 8, 0))) {
         Err(smat_serve::ServeError::ShapeMismatch {
             expected_rows,
             got_rows,
@@ -246,7 +244,7 @@ fn chaos_run(seed: u64) -> (Vec<Dense<F16>>, ChaosStats, ServerStats) {
     let key = server.register(&a);
     let mut responses = Vec::new();
     for i in 0..10 {
-        let b = rhs(128, 8, i);
+        let b = int_rhs(128, 8, i);
         let want = a.spmm_reference(&b);
         // Drained submission windows: the fan-out enqueues against an idle
         // pool, so shard→device placement — and with it the entire fault

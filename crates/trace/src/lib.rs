@@ -20,9 +20,9 @@
 //!
 //! Instrumentation lives in `smat` (pipeline phases), `smat-gpusim`
 //! (per-launch, per-SM sim-time segments), and `smat-serve` (request
-//! lifecycle). Enable with [`enable`] or the `--trace <path>` flag of
-//! `examples/serve.rs` and the `reproduce` harness; consume with
-//! [`drain`] → [`chrome_trace_json`]. See DESIGN.md §11 for the model.
+//! lifecycle). Enable with [`enable`] or the `--trace <path>` flag of the
+//! `reproduce` harness; consume with [`drain`] → [`chrome_trace_json`].
+//! See DESIGN.md §11 for the model.
 //!
 //! ```
 //! use smat_trace as trace;

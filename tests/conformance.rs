@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use smat::{Calibration, MatrixFormat, MatrixUpdate, PlanSpace, Planner};
+use smat::{Calibration, MatrixFormat, MatrixUpdate, PlanDecision, PlanSpace, Planner};
 use smat_formats::{Bcsr, Coo, Csr, Dense, Element, PackedBcsr, SrBcrs, F16};
 use smat_reorder::ReorderAlgorithm;
 use smat_repro::prelude::*;
@@ -215,27 +215,30 @@ fn packed_bcsr_pipeline_conforms_and_matches_plain_bitwise() {
 #[test]
 fn planner_chosen_configs_conform_bitwise() {
     // The admission planner only picks *which* configuration runs; the run
-    // itself must stay in the bitwise-exact regime. Exercise the planner
-    // on its offline calibration and after online refits (which move the
-    // Tensor Core line, so decisions can differ) on matrices with awkward
-    // structure, and make sure the chosen pipeline agrees with the dense
-    // oracle exactly.
+    // itself must stay in the bitwise-exact regime. With one shape-blind
+    // line and `T_e > 0`, `decide` is the argmin of the block count, so an
+    // online refit never moves a decision: the refitted planner must keep
+    // the offline choice. A second candidate space (16x8 blocks only)
+    // forces a distinct decision, and both choices are checked against the
+    // dense oracle on matrices with awkward structure.
     let base = SmatConfig::default();
     let cal = Calibration::fit_on(&workloads::calibration_bands::<F16>(96), 8, &base);
     let calibrated = Planner::with_calibration(PlanSpace::default(), cal);
     let refitted = Planner::with_calibration(PlanSpace::default(), cal);
-    // Observations that fall with the block count refit a falling line:
-    // the refitted planner then ranks candidates by the most blocks, so it
-    // picks another block shape or reordering than the offline planner
-    // (which ranks by the fewest), and both choices are checked.
     for i in 0..16usize {
         let n_e = 20 + 15 * i;
-        let x = n_e as f64;
-        refitted.observe(n_e, 8, cal.tc.predict(400.0 - x));
+        refitted.observe(n_e, 8, 0.5 * cal.tc.predict(n_e as f64));
     }
     assert_eq!(refitted.observations(), 16);
     assert!(refitted.refits() >= 2, "refits: {}", refitted.refits());
-    assert!(refitted.calibration().tc.t_e_ms < 0.0);
+    assert!(refitted.calibration().tc.t_e_ms > 0.0);
+    let narrow = Planner::with_calibration(
+        PlanSpace {
+            block_shapes: vec![(16, 8)],
+            reorderings: vec![ReorderAlgorithm::Identity, ReorderAlgorithm::GrayCode],
+        },
+        cal,
+    );
     for (label, a) in [
         ("awkward", awkward_matrix()),
         ("uniform", workloads::random_uniform(128, 96, 0.9, 21)),
@@ -243,19 +246,26 @@ fn planner_chosen_configs_conform_bitwise() {
     ] {
         let b = rhs(a.ncols(), 9);
         let want = dense_oracle(&a, &b);
+        let choice = |d: PlanDecision| (d.block_h, d.block_w, d.reorder);
         let offline = calibrated.decide(&a, b.ncols());
         let refit = refitted.decide(&a, b.ncols());
-        assert_ne!(
-            (offline.block_h, offline.block_w, offline.reorder),
-            (refit.block_h, refit.block_w, refit.reorder),
-            "{label}: the refit must move the decision"
+        assert_eq!(
+            choice(offline),
+            choice(refit),
+            "{label}: a physical refit must keep the offline decision"
         );
-        for (mode, d) in [("calibrated", offline), ("refitted", refit)] {
+        let other = narrow.decide(&a, b.ncols());
+        assert_ne!(
+            choice(offline),
+            choice(other),
+            "{label}: the second space must yield a distinct decision"
+        );
+        for (space, d) in [("default", offline), ("16x8", other)] {
             let run = Smat::prepare(&a, d.apply(&base)).spmm(&b);
             assert_eq!(
                 run.c,
                 want,
-                "{label} under the {mode} planner's choice ({}x{}, {})",
+                "{label} under the {space} space's choice ({}x{}, {})",
                 d.block_h,
                 d.block_w,
                 d.reorder.name()
